@@ -18,8 +18,8 @@ SCALE_OUT ?= BENCH_scale.json
 SCALE_MIN_RPS ?= 20000
 SCALE_MAX_MEM ?= 256
 
-.PHONY: all build test race race-test lint fmt vet staticcheck samlint vuln \
-	bench-gate scale-bench scale-gate trace-smoke
+.PHONY: all build test race race-test pipebench-test lint fmt vet staticcheck \
+	samlint vuln bench-gate scale-bench scale-gate trace-smoke
 
 all: build test
 
@@ -39,6 +39,13 @@ race:
 race-test:
 	$(GO) test -race -count=1 ./internal/core/... ./internal/obs/... ./internal/relation/...
 	$(GO) run -race ./cmd/sambench -scale smoke -exp tab1
+
+## pipebench-test vets and tests the end-to-end benchmark (pipebench/, its
+## own module). It compiles against the pipeline's internal APIs, and the
+## root `go test ./...` does not reach it, so an API change that breaks
+## the benchmark fails here.
+pipebench-test:
+	cd pipebench && $(GO) vet ./... && $(GO) test ./...
 
 ## lint runs the full static-analysis stack in CI order: formatting,
 ## go vet, pinned staticcheck, then the project's own samlint suite.

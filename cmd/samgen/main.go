@@ -15,10 +15,10 @@
 // size, printed by workloadgen).
 //
 // -stream removes the in-memory row-count ceiling: sampling is sharded
-// into independently reproducible (seed, shard) units under outdir/shards
-// and tables are merged and written through bounded-memory spill files, so
-// peak memory no longer grows with -samples. -workers parallelizes across
-// shards without changing a single output byte.
+// into independently reproducible block ranges under outdir/shards and
+// tables are merged and written through bounded-memory spill files, so
+// peak memory no longer grows with -samples. Neither -workers nor -shards
+// changes a single sample.
 //
 // -trace records the pipeline's phase tree (train/sample/weight/merge
 // spans with wall time and allocation deltas) as JSONL and prints its
@@ -57,7 +57,7 @@ func main() {
 	outDir := flag.String("outdir", "generated", "output directory for CSVs")
 	flag.StringVar(outDir, "out-dir", "generated", "alias for -outdir")
 	stream := flag.Bool("stream", false, "bounded-memory generation: shard the sampler and stream tables to disk (removes the in-memory row-count ceiling)")
-	shards := flag.Int("shards", 0, "sample shards for -stream (0 = one per 256Ki rows); each shard is independently reproducible from (seed, shard)")
+	shards := flag.Int("shards", 0, "sample shards for -stream (0 = one per 256Ki rows); shards split the samples over files without changing them, and each is independently reproducible")
 	workers := flag.Int("workers", 0, "sampling goroutines (0 = GOMAXPROCS); with -stream, workers parallelize across shards without changing output bytes")
 	partitions := flag.Int("partitions", 0, "spill partitions for the external group-and-merge (0 = 64)")
 	keepSamples := flag.Bool("keep-samples", false, "keep the binary sample shards under outdir/shards after -stream generation")

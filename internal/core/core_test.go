@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"sam/internal/ar"
 	"sam/internal/datagen"
@@ -55,23 +54,6 @@ func sizesOf(s *relation.Schema) map[string]int {
 		out[t.Name] = t.NumRows()
 	}
 	return out
-}
-
-func TestLargestRemainderCounts(t *testing.T) {
-	counts := largestRemainderCounts([]float64{1.4, 2.4, 0.2, 0, 1.0}, 5)
-	var sum int
-	for _, c := range counts {
-		sum += c
-	}
-	if sum != 5 {
-		t.Fatalf("counts %v sum %d", counts, sum)
-	}
-	if counts[3] != 0 {
-		t.Fatal("zero weight got rows")
-	}
-	if counts[1] < 2 {
-		t.Fatalf("floor violated: %v", counts)
-	}
 }
 
 func TestGeneratorValidation(t *testing.T) {
@@ -190,7 +172,7 @@ func TestGaMBeatsViewAssignmentOnMultiJoin(t *testing.T) {
 	}
 	opts := DefaultGenOptions(9)
 	opts.Samples = 50000
-	flat := gen.drawSamples(func() join.TupleSampler { return o }, opts.Samples, opts)
+	flat := gen.DrawSamples(func() join.TupleSampler { return o }, opts.Samples, opts)
 
 	withGaM, err := gen.Materialize(flat, opts)
 	if err != nil {
@@ -409,48 +391,6 @@ func TestGenProgressEvents(t *testing.T) {
 	}
 }
 
-func TestQuickLargestRemainderProperties(t *testing.T) {
-	f := func(raw []uint8) bool {
-		// Mirror real usage: weights are pre-scaled so they sum to the
-		// integer target (floorSum ≤ total ≤ ceilSum always holds).
-		weights := make([]float64, len(raw))
-		var sum float64
-		for i, r := range raw {
-			weights[i] = float64(r) / 16
-			sum += weights[i]
-		}
-		if sum < 1 {
-			return true
-		}
-		total := int(math.Round(sum))
-		factor := float64(total) / sum
-		for i := range weights {
-			weights[i] *= factor
-		}
-		counts := largestRemainderCounts(weights, total)
-		got := 0
-		for i, c := range counts {
-			if c < 0 {
-				return false
-			}
-			if weights[i] == 0 && c != 0 {
-				return false
-			}
-			if float64(c) < math.Floor(weights[i])-1e-9 {
-				return false // never undercut the floor
-			}
-			if float64(c) > math.Ceil(weights[i])+1e-9 {
-				return false // never exceed the ceiling
-			}
-			got += c
-		}
-		return got == total
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGeneratedSchemasAlwaysValidate(t *testing.T) {
 	// Property-style: many random small schemas and sample budgets, both
 	// key-assignment paths, always yield structurally valid databases with
@@ -498,7 +438,7 @@ func TestGeneratedSchemasAlwaysValidate(t *testing.T) {
 }
 
 func TestGaMKeyCountMatchesTargetExactly(t *testing.T) {
-	// After the global largest-remainder allocation, primary-key tables
+	// After the global systematic allocation, primary-key tables
 	// must have exactly |T| rows even under heavy sample splintering.
 	orig := datagen.IMDB(77, 400)
 	l := join.NewLayout(orig)
@@ -661,10 +601,10 @@ func schemasEqual(a, b *relation.Schema) bool {
 	return true
 }
 
-// TestGenerateBatchedGolden pins the batched pipeline's determinism
-// contract: a model-backed batched Generate is bit-identical across runs
-// for a fixed (Seed, Workers, Batch) triple, and a different seed produces
-// a different database.
+// TestGenerateBatchedGolden pins the batched pipeline end to end: a
+// model-backed batched Generate gives the same database for a fixed
+// (Seed, Batch) at any worker count, and a different seed produces a
+// different database.
 func TestGenerateBatchedGolden(t *testing.T) {
 	orig := datagen.IMDB(19, 120)
 	l := join.NewLayout(orig)
@@ -677,7 +617,7 @@ func TestGenerateBatchedGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultGenOptions(55)
-	opts.Samples = 2000
+	opts.Samples = 2500
 	opts.Workers = 3
 	opts.Batch = 16
 
@@ -689,8 +629,10 @@ func TestGenerateBatchedGolden(t *testing.T) {
 		return out
 	}
 	a := run(opts)
-	if !schemasEqual(a, run(opts)) {
-		t.Fatal("same (seed, workers, batch) produced different databases")
+	serial := opts
+	serial.Workers = 1
+	if !schemasEqual(a, run(serial)) {
+		t.Fatal("workers=3 and workers=1 produced different databases")
 	}
 	reseeded := opts
 	reseeded.Seed = 56

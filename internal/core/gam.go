@@ -20,6 +20,40 @@ type keySpan struct {
 	frac float64
 }
 
+// cellWalk is Alg. 3's split of one group's members over its keys. The
+// group's merged weight lies on a continuous axis cut into count cells of
+// equal weight, cell c being key base+c; members occupy consecutive
+// intervals of the axis (in group order), and each member joins every cell
+// it overlaps with the fraction of its weight inside that cell. Both the
+// in-memory and the streaming merge walk their groups with it.
+type cellWalk struct {
+	base  int64
+	count int
+	cell  float64
+	acc   float64
+}
+
+func newCellWalk(base int64, count int, groupWeight float64) cellWalk {
+	return cellWalk{base: base, count: count, cell: groupWeight / float64(count)}
+}
+
+// split places the next member, of weight w, on the axis and appends its
+// spans to dst in ascending key order.
+func (cw *cellWalk) split(dst []keySpan, w float64) []keySpan {
+	start, end := cw.acc, cw.acc+w
+	cw.acc = end
+	first := min(int(start/cw.cell), cw.count-1)
+	last := min(int((end-1e-12)/cw.cell), cw.count-1)
+	for c := first; c <= last; c++ {
+		lo := math.Max(start, float64(c)*cw.cell)
+		hi := math.Min(end, float64(c+1)*cw.cell)
+		if frac := (hi - lo) / w; frac > 0 {
+			dst = append(dst, keySpan{key: cw.base + int64(c), frac: frac})
+		}
+	}
+	return dst
+}
+
 // majorityKey returns the span carrying the largest fraction.
 func majorityKey(spans []keySpan) int64 {
 	best := spans[0]
@@ -69,25 +103,24 @@ func (g *Generator) groupBins(row []int32, idCols []int, dst []int32) {
 // one cell split across several keys — the generalization needed when the
 // sample budget is much smaller than the full outer join, so individual
 // scaled weights exceed 1.
-func (g *Generator) materializeGaM(flat []int32, k int, weights map[string][]float64, rng *rand.Rand, opts GenOptions) (*relation.Schema, error) {
+func (g *Generator) materializeGaM(flat []int32, k int, tcs []*tableCtx, weights [][]float64, rng *rand.Rand, opts GenOptions) (*relation.Schema, error) {
 	ncols := g.Layout.NumCols()
 	sample := func(i int) []int32 { return flat[i*ncols : (i+1)*ncols] }
 	tables := g.newEmptyTables()
 	spansOf := make(map[string][][]keySpan) // pk table → per-sample spans
 
-	for _, t := range g.Layout.Schema.Tables {
+	for ti, tc := range tcs {
+		t := tc.t
 		tStart := time.Now()
 		out := tables[t.Name]
-		hasChildren := len(g.Layout.Schema.Children(t.Name)) > 0
-		fanIdx, hasFan := g.Layout.FanoutIndex(t.Name)
 		var parentSpans [][]keySpan
 		if t.Parent != "" {
 			parentSpans = spansOf[t.Parent]
 		}
-		w := weights[t.Name]
+		w := weights[ti]
 
-		if !hasChildren {
-			groups := g.materializeLeaf(out, t, sample, k, w, parentSpans, fanIdx, hasFan, rng)
+		if !tc.hasChildren {
+			groups := g.materializeLeaf(out, tc, sample, k, w, parentSpans, rng)
 			opts.Hooks.GenPhase(obs.GenPhase{
 				Phase: "merge", Table: t.Name, Tuples: out.NumRows(),
 				Groups: groups, Wall: time.Since(tStart),
@@ -96,9 +129,8 @@ func (g *Generator) materializeGaM(flat []int32, k int, weights map[string][]flo
 		}
 
 		// Group samples by Identifier(T.pk) and the assigned parent key.
-		idCols := g.Layout.IdentifierColumns(t.Name)
-		coarse := make([]int32, len(idCols))
-		allCols := make([]int, len(idCols))
+		coarse := make([]int32, len(tc.idCols))
+		allCols := make([]int, len(tc.idCols))
 		for i := range allCols {
 			allCols[i] = i
 		}
@@ -106,12 +138,8 @@ func (g *Generator) materializeGaM(flat []int32, k int, weights map[string][]flo
 		order := make([]string, 0, k/4)
 		groups := make(map[string]*group)
 		for i := 0; i < k; i++ {
-			row := sample(i)
-			if hasFan && row[fanIdx] == 0 {
-				continue
-			}
 			if w[i] <= 0 {
-				continue
+				continue // NULL or zero-weight sample
 			}
 			var pk int64
 			if parentSpans != nil {
@@ -120,7 +148,7 @@ func (g *Generator) materializeGaM(flat []int32, k int, weights map[string][]flo
 				}
 				pk = majorityKey(parentSpans[i])
 			}
-			g.groupBins(row, idCols, coarse)
+			g.groupBins(sample(i), tc.idCols, coarse)
 			gk := binKey(coarse, allCols, pk)
 			grp, ok := groups[gk]
 			if !ok {
@@ -132,7 +160,7 @@ func (g *Generator) materializeGaM(flat []int32, k int, weights map[string][]flo
 		}
 
 		// Allocate exactly |T| keys across the groups in proportion to
-		// their merged weights (global largest remainder). Groups too
+		// their merged weights (global systematic allocation). Groups too
 		// light to earn a key are dropped, mirroring Alg. 3's behaviour
 		// where a set whose weights never reach 1 yields no tuple; their
 		// child mass is restored by rescaling during leaf materialization.
@@ -149,37 +177,17 @@ func (g *Generator) materializeGaM(flat []int32, k int, weights map[string][]flo
 		var reprs []int        // representative sample per key
 		var reprParent []int64 // parent key per key
 		for gi, gk := range order {
-			grp := groups[gk]
 			nKeys := keyCounts[gi]
 			if nKeys == 0 {
 				continue
 			}
-			total := groupWeights[gi]
-			cell := total / float64(nKeys)
-			base := counter
+			walk := newCellWalk(counter, nKeys, groupWeights[gi])
 			counter += int64(nKeys)
 			haveRepr := make([]bool, nKeys)
-			acc := 0.0
-			for _, m := range grp.members {
-				start, end := acc, acc+w[m]
-				acc = end
-				first := int(start / cell)
-				last := int((end - 1e-12) / cell)
-				if first >= nKeys {
-					first = nKeys - 1
-				}
-				if last >= nKeys {
-					last = nKeys - 1
-				}
-				for c := first; c <= last; c++ {
-					lo := math.Max(start, float64(c)*cell)
-					hi := math.Min(end, float64(c+1)*cell)
-					frac := (hi - lo) / w[m]
-					if frac <= 0 {
-						continue
-					}
-					spans[m] = append(spans[m], keySpan{key: base + int64(c), frac: frac})
-					if !haveRepr[c] {
+			for _, m := range groups[gk].members {
+				spans[m] = walk.split(spans[m], w[m])
+				for _, sp := range spans[m] {
+					if c := sp.key - walk.base; !haveRepr[c] {
 						haveRepr[c] = true
 						//lint:allow hotalloc per-table key list built once per table in cold model construction
 						reprs = append(reprs, m)
@@ -200,7 +208,7 @@ func (g *Generator) materializeGaM(flat []int32, k int, weights map[string][]flo
 		// representative decodes exactly.
 		out.PKVals = make([]int64, 0, len(reprs))
 		for key, ri := range reprs {
-			g.decodeRow(rng, t, out.Cols, sample(ri))
+			g.decodeRow(rng, tc, out.Cols, sample(ri))
 			out.PKVals = append(out.PKVals, int64(key))
 			if t.Parent != "" {
 				out.FK = append(out.FK, reprParent[key])
@@ -217,11 +225,11 @@ func (g *Generator) materializeGaM(flat []int32, k int, weights map[string][]flo
 // materializeLeaf replicates a leaf relation to exactly |T| rows:
 // per-sample scaled weights are spread over the sample's parent-key spans,
 // aggregated by (parent key, content bins) — "aggregating the scaled
-// weights" within each merged set — and rounded by largest remainder. It
-// returns the number of merge groups formed (telemetry).
-func (g *Generator) materializeLeaf(out *relation.Table, t *relation.Table,
-	sample func(int) []int32, k int, w []float64, parentSpans [][]keySpan,
-	fanIdx int, hasFan bool, rng *rand.Rand) int {
+// weights" within each merged set — and rounded by systematic allocation.
+// It returns the number of merge groups formed (telemetry).
+func (g *Generator) materializeLeaf(out *relation.Table, tc *tableCtx,
+	sample func(int) []int32, k int, w []float64, parentSpans [][]keySpan, rng *rand.Rand) int {
+	t := tc.t
 	contentCols := g.Layout.ContentColumns(t.Name)
 	type agg struct {
 		weight float64
@@ -242,10 +250,7 @@ func (g *Generator) materializeLeaf(out *relation.Table, t *relation.Table,
 	}
 	for i := 0; i < k; i++ {
 		if w[i] <= 0 {
-			continue
-		}
-		if hasFan && sample(i)[fanIdx] == 0 {
-			continue
+			continue // NULL or zero-weight sample
 		}
 		if parentSpans == nil {
 			add(i, 0, w[i])
@@ -280,7 +285,7 @@ func (g *Generator) materializeLeaf(out *relation.Table, t *relation.Table,
 		a := aggs[order[ai]]
 		row := sample(a.repr)
 		for j := 0; j < c; j++ {
-			g.decodeRow(rng, t, out.Cols, row)
+			g.decodeRow(rng, tc, out.Cols, row)
 			if t.Parent != "" {
 				out.FK = append(out.FK, a.fk)
 			}
@@ -295,17 +300,17 @@ func (g *Generator) materializeLeaf(out *relation.Table, t *relation.Table,
 // parent rows whose content matches the child's sampled parent content,
 // which preserves pairwise correlation but breaks the joint distribution
 // across three or more relations.
-func (g *Generator) materializeViews(flat []int32, k int, weights map[string][]float64, rng *rand.Rand, opts GenOptions) (*relation.Schema, error) {
+func (g *Generator) materializeViews(flat []int32, k int, tcs []*tableCtx, weights [][]float64, rng *rand.Rand, opts GenOptions) (*relation.Schema, error) {
 	ncols := g.Layout.NumCols()
 	sample := func(i int) []int32 { return flat[i*ncols : (i+1)*ncols] }
 	tables := g.newEmptyTables()
 	pkBySig := make(map[string]map[string][]int64) // table → content signature → pks
 	pkAll := make(map[string][]int64)
 
-	for _, t := range g.Layout.Schema.Tables {
+	for ti, tc := range tcs {
+		t, hasChildren := tc.t, tc.hasChildren
 		tStart := time.Now()
 		out := tables[t.Name]
-		hasChildren := len(g.Layout.Schema.Children(t.Name)) > 0
 		contentCols := g.Layout.ContentColumns(t.Name)
 		var parentContent []int
 		if t.Parent != "" {
@@ -316,7 +321,7 @@ func (g *Generator) materializeViews(flat []int32, k int, weights map[string][]f
 		// matching the GaM path's granularity.
 		sigCols := make([]int, 0, len(contentCols)+len(parentContent))
 		sigCols = append(append(sigCols, contentCols...), parentContent...)
-		w := weights[t.Name]
+		w := weights[ti]
 		type agg struct {
 			weight float64
 			repr   int
@@ -360,7 +365,7 @@ func (g *Generator) materializeViews(flat []int32, k int, weights map[string][]f
 				}
 			}
 			for j := 0; j < c; j++ {
-				g.decodeRow(rng, t, out.Cols, row)
+				g.decodeRow(rng, tc, out.Cols, row)
 				if t.Parent != "" {
 					out.FK = append(out.FK, cands[rng.Intn(len(cands))])
 				}

@@ -10,19 +10,13 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sam/internal/ar"
 	"sam/internal/join"
 	"sam/internal/obs"
 	"sam/internal/relation"
-	"sam/internal/tensor"
 )
 
 // GenOptions controls the generation pass.
@@ -30,14 +24,17 @@ type GenOptions struct {
 	// Samples is the number of full-outer-join tuples to draw (the paper's
 	// k). Zero defaults to the sum of target table sizes.
 	Samples int
-	// Workers bounds sampling parallelism; 0 = GOMAXPROCS.
+	// Workers bounds sampling parallelism; 0 = GOMAXPROCS. Workers only
+	// schedule blocks of samples: no output byte depends on them.
 	Workers int
-	// Batch is the number of sampling lanes each worker advances through
-	// the model per forward sweep (batched ancestral sampling); values ≤ 1
-	// draw one tuple at a time. Each lane owns an rng stream derived from
-	// Seed, so output is deterministic for a fixed (Seed, Workers, Batch)
-	// triple, and Batch ≤ 1 reproduces the legacy per-worker streams
-	// exactly.
+	// Batch is the number of sampling lanes a sampler advances through the
+	// model per forward sweep (batched ancestral sampling); values ≤ 1 draw
+	// one tuple at a time. Samples are drawn in fixed blocks of blockRows
+	// rows: lane l of block b draws from rng stream
+	// ar.LaneSeed(ar.SplitSeed(Seed, b), l) and serves the block's rows l,
+	// l+Batch, l+2·Batch, …. The samples are therefore a pure function of
+	// (Seed, Batch, sample count), whatever Workers, shard count or
+	// GOMAXPROCS.
 	Batch int
 	// Seed drives all sampling randomness.
 	Seed int64
@@ -108,181 +105,7 @@ func (g *Generator) Generate(newSampler func() join.TupleSampler, opts GenOption
 			k += g.Sizes[t.Name]
 		}
 	}
-	samples := g.drawSamples(newSampler, k, opts)
-	return g.Materialize(samples, opts)
-}
-
-// DrawSamples runs the sampling phase on its own: k sanitized FOJ samples,
-// flattened lane-major (k × NumCols bin codes), without materializing
-// tables. Generate composes it with Materialize; benchmarks and diagnostic
-// tools call it directly to measure or inspect the sampler under the real
-// worker×lane scheduling.
-func (g *Generator) DrawSamples(newSampler func() join.TupleSampler, k int, opts GenOptions) []int32 {
-	return g.drawSamples(newSampler, k, opts)
-}
-
-// drawSamples draws k FOJ tuples in parallel and sanitizes presence
-// consistency.
-//
-// The output is a pure function of (Seed, Workers, Batch): logical worker w
-// covers a fixed tuple range and lane l of worker w always consumes rng
-// stream Seed + (w·Batch+l)·7919, with both Workers and Batch resolved
-// deterministically from the options (Workers 0 → GOMAXPROCS at entry).
-// Physical goroutines are provisioned separately from the shared kernel
-// token budget and only affect wall-clock, so a run reproduces bit-for-bit
-// however loaded the machine is.
-func (g *Generator) drawSamples(newSampler func() join.TupleSampler, k int, opts GenOptions) []int32 {
-	span := opts.Span.Child("sample")
-	defer span.End()
-	start := time.Now()
-	ncols := g.Layout.NumCols()
-	flat := make([]int32, k*ncols)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > k {
-		workers = k
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	batch := opts.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	span.SetAttr("tuples", k)
-	span.SetAttr("workers", workers)
-	span.SetAttr("batch", batch)
-
-	chunk := (k + workers - 1) / workers
-	type task struct{ w, lo, hi int }
-	tasks := make([]task, 0, workers)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > k {
-			hi = k
-		}
-		if lo >= hi {
-			break
-		}
-		tasks = append(tasks, task{w, lo, hi})
-	}
-
-	// Worker×lane composition: sampling goroutines and the matmul kernels
-	// draw from one shared core budget. Each extra sampling goroutine holds
-	// a kernel token while it runs, so the per-layer GEMMs inside every
-	// sampler see a correspondingly smaller budget and the two levels of
-	// parallelism compose instead of oversubscribing the machine. Under a
-	// full budget the samplers win all tokens and the kernels run serially
-	// inside them — the right split, since worker parallelism has no
-	// synchronization per layer.
-	phys := 1
-	if len(tasks) > 1 {
-		phys += tensor.AcquireKernelTokens(len(tasks) - 1)
-	}
-	if phys > len(tasks) {
-		phys = len(tasks)
-	}
-
-	// In-flight progress is observer-only: the tracker exists solely when a
-	// hook asks for it (nil otherwise — every call below is a nil no-op), a
-	// CAS throttle picks one reporting worker at a time, and nothing feeds
-	// back into scheduling, so sampling output stays a pure function of
-	// (Seed, Workers, Batch).
-	var prog *obs.Progress
-	if opts.Hooks.WantsGenProgress() {
-		prog = obs.NewProgress(int64(k), 2*time.Second)
-	}
-	const progressInterval = 100 * time.Millisecond
-	emitProgress := func(n int) {
-		prog.Add(int64(n))
-		if prog.ShouldEmit(progressInterval) {
-			s := prog.Snapshot()
-			opts.Hooks.GenProgress(obs.GenProgress{
-				Phase: "sample", Done: int(s.Done), Total: int(s.Total),
-				Rate: s.Rate, ETA: s.ETA,
-			})
-		}
-	}
-
-	var usedBatchKernel atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	run := func() {
-		// One rng stream per lane: lane l of worker w always sees the same
-		// stream regardless of how tuples land in sweeps, and with batch 1
-		// this reduces to the legacy per-worker seeding. The rngs are
-		// allocated once per goroutine and reseeded per logical task.
-		rngs := make([]*rand.Rand, batch)
-		for l := range rngs {
-			rngs[l] = rand.New(rand.NewSource(0))
-		}
-		s := newSampler()
-		bs, okBatch := s.(join.BatchTupleSampler)
-		okBatch = okBatch && batch > 1 && bs.BatchCap() >= batch
-		for {
-			t := int(next.Add(1)) - 1
-			if t >= len(tasks) {
-				return
-			}
-			w, lo, hi := tasks[t].w, tasks[t].lo, tasks[t].hi
-			for l := range rngs {
-				rngs[l].Seed(ar.LaneSeed(opts.Seed, w*batch+l))
-			}
-			if okBatch {
-				usedBatchKernel.Store(true)
-				for base := lo; base < hi; base += batch {
-					n := batch
-					if base+n > hi {
-						n = hi - base
-					}
-					bs.SampleFOJBatch(rngs[:n], flat[base*ncols:(base+n)*ncols])
-					for i := base; i < base+n; i++ {
-						g.sanitize(flat[i*ncols : (i+1)*ncols])
-					}
-					if prog != nil {
-						emitProgress(n)
-					}
-				}
-				continue
-			}
-			// Per-tuple fallback keeps the lane-strided rng assignment so
-			// each tuple consumes the same stream as under the batched
-			// kernel.
-			for i := lo; i < hi; i++ {
-				dst := flat[i*ncols : (i+1)*ncols]
-				s.SampleFOJ(rngs[(i-lo)%batch], dst)
-				g.sanitize(dst)
-				if prog != nil {
-					emitProgress(1)
-				}
-			}
-		}
-	}
-	for p := 1; p < phys; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
-	if phys > 1 {
-		tensor.ReleaseKernelTokens(phys - 1)
-	}
-	span.SetAttr("batched", usedBatchKernel.Load())
-	span.SetAttr("goroutines", phys)
-	if prog != nil {
-		// Terminal event so observers always see done == total.
-		s := prog.Snapshot()
-		opts.Hooks.GenProgress(obs.GenProgress{
-			Phase: "sample", Done: int(s.Done), Total: int(s.Total), Rate: s.Rate,
-		})
-	}
-	opts.Hooks.GenPhase(obs.GenPhase{Phase: "sample", Tuples: k, Wall: time.Since(start)})
-	return flat
+	return g.Materialize(g.DrawSamples(newSampler, k, opts), opts)
 }
 
 // sanitize enforces presence consistency on one sample: a NULL table
@@ -320,38 +143,29 @@ func (g *Generator) Materialize(flat []int32, opts GenOptions) (*relation.Schema
 
 	// Algorithm 2: inverse probability weighting and scaling, per table.
 	weightSpan := opts.Span.Child("weight")
-	weights := make(map[string][]float64, len(g.Layout.Schema.Tables))
-	for _, t := range g.Layout.Schema.Tables {
+	tcs := g.tableCtxs()
+	weights := make([][]float64, len(tcs))
+	for ti, tc := range tcs {
 		tStart := time.Now()
 		w := make([]float64, k)
-		down := g.Layout.DownweightColumns([]string{t.Name})
-		fanIdx, hasFan := g.Layout.FanoutIndex(t.Name)
 		var sum float64
-		for i := 0; i < k; i++ {
-			row := sample(i)
-			if hasFan && row[fanIdx] == 0 {
-				continue // NULL: no sample derived for this relation
-			}
-			wi := 1.0
-			for _, f := range down {
-				wi /= g.Layout.Cols[f].WeightVals[row[f]]
-			}
-			w[i] = wi
-			sum += wi
+		for i := range w {
+			w[i] = g.rawWeight(tc, sample(i))
+			sum += w[i]
 		}
 		if sum == 0 {
 			weightSpan.End()
-			return nil, fmt.Errorf("core: no full-outer-join sample contains relation %s", t.Name)
+			return nil, fmt.Errorf("core: no full-outer-join sample contains relation %s", tc.t.Name)
 		}
-		factor := float64(g.Sizes[t.Name]) / sum // scaling step
+		tc.factor = float64(g.Sizes[tc.t.Name]) / sum // scaling step
 		for i := range w {
-			w[i] *= factor
+			w[i] *= tc.factor
 		}
-		weights[t.Name] = w
-		weightSpan.SetAttr("mass_"+t.Name, sum)
+		weights[ti] = w
+		weightSpan.SetAttr("mass_"+tc.t.Name, sum)
 		opts.Hooks.GenPhase(obs.GenPhase{
-			Phase: "weight", Table: t.Name, Tuples: k,
-			MassBefore: sum, MassAfter: float64(g.Sizes[t.Name]),
+			Phase: "weight", Table: tc.t.Name, Tuples: k,
+			MassBefore: sum, MassAfter: float64(g.Sizes[tc.t.Name]),
 			Wall: time.Since(tStart),
 		})
 	}
@@ -362,9 +176,63 @@ func (g *Generator) Materialize(flat []int32, opts GenOptions) (*relation.Schema
 	mergeSpan.SetAttr("group_and_merge", opts.GroupAndMerge)
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5a17))
 	if opts.GroupAndMerge {
-		return g.materializeGaM(flat, k, weights, rng, opts)
+		return g.materializeGaM(flat, k, tcs, weights, rng, opts)
 	}
-	return g.materializeViews(flat, k, weights, rng, opts)
+	return g.materializeViews(flat, k, tcs, weights, rng, opts)
+}
+
+// tableCtx caches the per-table layout lookups the weight and merge passes
+// make per sample. Both Alg. 2+3 drivers, in memory and streaming, build
+// their tables from tableCtxs and weigh samples with rawWeight.
+type tableCtx struct {
+	t           *relation.Table
+	hasChildren bool
+	fanIdx      int
+	hasFan      bool
+	down        []int
+	factor      float64 // per-table weight scaling (Sizes / weight mass)
+	ctIdx       []int   // layout column index per t.Cols position
+	idCols      []int   // identifier columns (internal tables)
+}
+
+// tableCtxs returns one tableCtx per table, in the schema's topological
+// order; factor is left for the weight pass to fill in.
+func (g *Generator) tableCtxs() []*tableCtx {
+	tcs := make([]*tableCtx, 0, len(g.Layout.Schema.Tables))
+	for _, t := range g.Layout.Schema.Tables {
+		fanIdx, hasFan := g.Layout.FanoutIndex(t.Name)
+		tc := &tableCtx{
+			t:           t,
+			hasChildren: len(g.Layout.Schema.Children(t.Name)) > 0,
+			fanIdx:      fanIdx,
+			hasFan:      hasFan,
+			down:        g.Layout.DownweightColumns([]string{t.Name}),
+			ctIdx:       make([]int, len(t.Cols)),
+		}
+		for ci, c := range t.Cols {
+			tc.ctIdx[ci] = g.Layout.ContentIndex(t.Name, c.Name)
+		}
+		if tc.hasChildren {
+			tc.idCols = g.Layout.IdentifierColumns(t.Name)
+		}
+		tcs = append(tcs, tc)
+	}
+	return tcs
+}
+
+// rawWeight is one sample's Alg. 2 inverse-probability weight for the
+// table before scaling: zero when the table is NULL in the sample (no
+// tuple of it is derived), else Π 1/WeightVals over its down-weight
+// columns.
+func (g *Generator) rawWeight(tc *tableCtx, row []int32) float64 {
+	if tc.hasFan && row[tc.fanIdx] == 0 {
+		return 0
+	}
+	wi := 1.0
+	for _, f := range tc.down {
+		wi /= g.Layout.Cols[f].WeightVals[row[f]]
+	}
+	return wi
 }
 
 // binKey serializes selected columns of a sample into a map key.
@@ -387,87 +255,34 @@ func binKey(row []int32, cols []int, extra int64) string {
 // over many small entries (each fraction individually loses to larger
 // ones) — systematic allocation is unbiased per region: a run of entries
 // with combined weight W receives W·total/Σw units in expectation no
-// matter how finely it is divided. Entries with zero weight get zero.
+// matter how finely it is divided. Entries with zero weight get zero. It
+// walks the same sysAlloc the streaming merge uses; float drift can leave
+// the last pointers unassigned, and the final positive entry takes them.
 func systematicCounts(weights []float64, total int) []int {
-	counts := make([]int, len(weights))
 	var sum float64
-	for _, w := range weights {
+	last := -1
+	for i, w := range weights {
 		if w > 0 {
 			sum += w
+			last = i
 		}
-	}
-	if sum <= 0 || total <= 0 {
-		return counts
-	}
-	spacing := sum / float64(total)
-	acc := 0.0
-	ptr := 0 // next pointer index, at position (ptr+0.5)*spacing
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		end := acc + w
-		for ptr < total && (float64(ptr)+0.5)*spacing < end {
-			counts[i]++
-			ptr++
-		}
-		acc = end
-	}
-	// Float drift can leave the last pointer unassigned; give it to the
-	// final positive entry.
-	for ptr < total {
-		for i := len(weights) - 1; i >= 0; i-- {
-			if weights[i] > 0 {
-				counts[i]++
-				break
-			}
-		}
-		ptr++
-	}
-	return counts
-}
-
-// largestRemainderCounts rounds nonnegative weights to integers that sum to
-// total (which must be ≤ the ceiling sum). Entries with zero weight stay
-// zero.
-func largestRemainderCounts(weights []float64, total int) []int {
-	type frac struct {
-		idx int
-		f   float64
 	}
 	counts := make([]int, len(weights))
-	used := 0
-	fracs := make([]frac, 0, len(weights))
+	alloc := newSysAlloc(sum, total)
 	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		fl := math.Floor(w)
-		counts[i] = int(fl)
-		used += int(fl)
-		fracs = append(fracs, frac{i, w - fl})
+		counts[i] = alloc.next(w)
 	}
-	remaining := total - used
-	if remaining <= 0 {
-		return counts
-	}
-	sort.Slice(fracs, func(a, b int) bool {
-		if fracs[a].f != fracs[b].f {
-			return fracs[a].f > fracs[b].f
-		}
-		return fracs[a].idx < fracs[b].idx
-	})
-	for i := 0; i < remaining && i < len(fracs); i++ {
-		counts[fracs[i].idx]++
+	if last >= 0 {
+		counts[last] += alloc.leftover()
 	}
 	return counts
 }
 
-// decodeRow appends the decoded content values of table for one sample.
-func (g *Generator) decodeRow(rng *rand.Rand, table *relation.Table, cols []*relation.Column, row []int32) {
-	for ci, c := range table.Cols {
-		idx := g.Layout.ContentIndex(table.Name, c.Name)
-		cols[ci].Append(g.Disc[idx].SampleIn(rng, int(row[idx])))
+// decodeRow appends the decoded content values of tc's table for one
+// sample.
+func (g *Generator) decodeRow(rng *rand.Rand, tc *tableCtx, cols []*relation.Column, row []int32) {
+	for ci, li := range tc.ctIdx {
+		cols[ci].Append(g.Disc[li].SampleIn(rng, int(row[li])))
 	}
 }
 

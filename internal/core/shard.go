@@ -3,44 +3,35 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"sam/internal/ar"
 	"sam/internal/join"
 	"sam/internal/obs"
 	"sam/internal/relation"
-	"sam/internal/tensor"
 )
 
 // StreamOptions configures the sharded, bounded-memory generation path.
-// It extends GenOptions: Seed/Batch/Workers keep their meanings, but the
-// determinism contract tightens — a shard's bytes are a pure function of
-// (Seed, shard index, shard row range, Batch), independent of Workers,
-// ChunkRows, and of which goroutine happens to sample the shard. Workers
-// only parallelize across shards.
+// It extends GenOptions under the same sampling contract: a shard is a
+// range of whole sample blocks, so the shards of a run, concatenated, hold
+// exactly the samples DrawSamples returns for the same (Seed, Batch, k),
+// whatever Shards or Workers. Workers only parallelize across shards.
 type StreamOptions struct {
 	GenOptions
 
-	// Shards is the number of sample shards; 0 derives one shard per
-	// defaultShardRows rows (at least one). The shard count is part of the
-	// reproducibility coordinates: it fixes each shard's row range.
+	// Shards is the number of sample shard files; 0 derives one shard per
+	// defaultShardRows rows. Shard boundaries fall on block boundaries, so
+	// there are at most as many shards as blocks. The count splits the
+	// samples over files and never changes a sample.
 	Shards int
 	// OutDir receives the shard sample files (subdirectory "shards") and,
 	// via GenerateStream, one CSV per generated table.
 	OutDir string
-	// ChunkRows bounds the rows buffered between a shard's sampling
-	// goroutine and its writer; 0 defaults to 8192. Purely a
-	// memory/backpressure knob — output bytes do not depend on it.
-	ChunkRows int
 	// Partitions is the spill fan-out of the external group-and-merge;
 	// 0 defaults to 64. Part of the merge's determinism coordinates (it
-	// fixes the group traversal order), not of the shard sampling contract.
+	// fixes the group traversal order), not of the sampling contract.
 	Partitions int
 	// SpillDir holds the merge's temporary partition files; defaults to
 	// OutDir/.spill and is removed when the merge finishes.
@@ -55,29 +46,28 @@ func DefaultStreamOptions(seed int64, outDir string) StreamOptions {
 	return StreamOptions{GenOptions: DefaultGenOptions(seed), OutDir: outDir}
 }
 
-// defaultShardRows sizes auto-derived shards. Deliberately a function of
-// the requested row count only — never of the machine — so default runs
-// stay reproducible across hosts.
+// defaultShardRows sizes auto-derived shards (a whole number of blocks).
+// Deliberately a function of the requested row count only — never of the
+// machine — so default runs split the same way on every host.
 const defaultShardRows = 1 << 18
 
-// defaultChunkRows bounds sampler→writer buffering per shard.
-const defaultChunkRows = 8192
-
-// chunkBuffers is the depth of each shard's free-buffer pool: the sampler
-// stalls (backpressure) once this many chunks are in flight to the writer.
-const chunkBuffers = 3
+// blockBuffers is the depth of each shard's free-buffer pool: the sampler
+// stalls (backpressure) once this many blocks are in flight to the writer.
+const blockBuffers = 3
 
 // shardCount resolves the shard count for k rows.
 func (o *StreamOptions) shardCount(k int) int {
 	if o.Shards > 0 {
-		return min(o.Shards, max(k, 1))
+		return min(o.Shards, max(numBlocks(k), 1))
 	}
 	return max((k+defaultShardRows-1)/defaultShardRows, 1)
 }
 
-// shardRange returns shard s's row range under S balanced shards of k.
-func shardRange(k, S, s int) (lo, hi int) {
-	return s * k / S, (s + 1) * k / S
+// shardBlocks returns shard s's block range under S balanced shards of k
+// rows.
+func shardBlocks(k, S, s int) (lo, hi int) {
+	nb := numBlocks(k)
+	return s * nb / S, (s + 1) * nb / S
 }
 
 // ShardSet describes the sample shards one run produced: where they are,
@@ -146,16 +136,12 @@ func OpenShardSet(dir string) (*ShardSet, error) {
 	return set, nil
 }
 
-// SampleShards draws k sanitized FOJ samples into len == shardCount binary
-// shard files under opts.OutDir/shards. Shards are sampled by up to
+// SampleShards draws k sanitized FOJ samples into shardCount binary shard
+// files under opts.OutDir/shards. Shards are sampled by up to
 // opts.Workers goroutines (one shard at a time each), and each shard
-// streams through a bounded chunk pipeline to its writer, so peak memory
-// is O(workers × ChunkRows × NumCols) regardless of k.
-//
-// Shard s's bytes are a pure function of (Seed, s, its row range, Batch):
-// lane l of shard s always consumes rng stream
-// ar.LaneSeed(ar.SplitSeed(Seed, s), l), whichever goroutine samples it
-// and in whatever order shards are claimed.
+// streams block by block to its writer, so peak memory is
+// O(workers × blockRows × NumCols) regardless of k. Shard s holds the
+// samples of its block range, exactly as DrawSamples would draw them.
 func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opts StreamOptions) (*ShardSet, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: sample count %d must be positive", k)
@@ -164,116 +150,34 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 	defer span.End()
 	start := time.Now()
 
-	ncols := g.Layout.NumCols()
 	S := opts.shardCount(k)
-	batch := max(opts.Batch, 1)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(max(workers, 1), S)
-	chunkRows := opts.ChunkRows
-	if chunkRows <= 0 {
-		chunkRows = defaultChunkRows
-	}
-	// Chunks hold whole sweeps so a batched sweep never straddles buffers.
-	chunkRows = (chunkRows + batch - 1) / batch * batch
-
 	dir := filepath.Join(opts.OutDir, "shards")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: shard dir: %w", err)
 	}
-
 	span.SetAttr("tuples", k)
 	span.SetAttr("shards", S)
-	span.SetAttr("workers", workers)
-	span.SetAttr("batch", batch)
+	span.SetAttr("workers", min(opts.workers(), S))
+	span.SetAttr("batch", max(opts.Batch, 1))
 
-	var prog *obs.Progress
-	if opts.Hooks.WantsGenProgress() {
-		prog = obs.NewProgress(int64(k), 2*time.Second)
-	}
-	const progressInterval = 100 * time.Millisecond
-	emitProgress := func(n int) {
-		if prog == nil {
-			return
-		}
-		prog.Add(int64(n))
-		if prog.ShouldEmit(progressInterval) {
-			s := prog.Snapshot()
-			opts.Hooks.GenProgress(obs.GenProgress{
-				Phase: "sample", Done: int(s.Done), Total: int(s.Total),
-				Rate: s.Rate, ETA: s.ETA,
-			})
-		}
-	}
-
-	set := &ShardSet{Dir: dir, NCols: ncols, Seed: opts.Seed, Batch: batch,
+	set := &ShardSet{Dir: dir, NCols: g.Layout.NumCols(), Seed: opts.Seed, Batch: max(opts.Batch, 1),
 		Paths: make([]string, S), Rows: make([]int, S), Total: k}
-
-	// Worker×lane composition as in drawSamples: each extra sampling
-	// goroutine holds a kernel token so sampler parallelism and the matmul
-	// kernels share one core budget.
-	phys := 1
-	if workers > 1 {
-		phys += tensor.AcquireKernelTokens(workers - 1)
-	}
-
-	var failed atomic.Bool
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		failed.Store(true)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	run := func() {
-		rngs := make([]*rand.Rand, batch)
-		for l := range rngs {
-			rngs[l] = rand.New(rand.NewSource(0))
-		}
-		sampler := newSampler()
-		for {
-			si := int(next.Add(1)) - 1
-			if si >= S || failed.Load() {
-				return
-			}
-			lo, hi := shardRange(k, S, si)
-			rows, path, err := g.sampleOneShard(sampler, rngs, si, hi-lo, dir, chunkRows, span, opts, emitProgress)
+	prog := newSampleProgress(opts.Hooks, k)
+	phys, err := runParallel(S, opts.workers(), func() func(int) error {
+		bs := g.newBlockSampler(newSampler, opts.GenOptions, prog)
+		return func(si int) error {
+			rows, path, err := g.sampleOneShard(bs, k, S, si, dir, span, opts)
 			if err != nil {
-				fail(fmt.Errorf("core: shard %d: %w", si, err))
-				return
+				return fmt.Errorf("core: shard %d: %w", si, err)
 			}
-			set.Paths[si] = path
-			set.Rows[si] = rows
+			set.Paths[si], set.Rows[si] = path, rows
+			return nil
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	for p := 1; p < phys; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
-	if phys > 1 {
-		tensor.ReleaseKernelTokens(phys - 1)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if prog != nil {
-		s := prog.Snapshot()
-		opts.Hooks.GenProgress(obs.GenProgress{
-			Phase: "sample", Done: int(s.Done), Total: int(s.Total), Rate: s.Rate,
-		})
-	}
+	prog.finish()
 	set.Wall = time.Since(start)
 	span.SetAttr("goroutines", phys)
 	opts.Hooks.GenPhase(obs.GenPhase{Phase: "sample", Tuples: k, Wall: set.Wall})
@@ -290,46 +194,30 @@ func (g *Generator) SampleShard(newSampler func() join.TupleSampler, k, shard in
 	if shard < 0 || shard >= S {
 		return "", 0, fmt.Errorf("core: shard %d outside [0,%d)", shard, S)
 	}
-	batch := max(opts.Batch, 1)
-	chunkRows := opts.ChunkRows
-	if chunkRows <= 0 {
-		chunkRows = defaultChunkRows
-	}
-	chunkRows = (chunkRows + batch - 1) / batch * batch
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", 0, fmt.Errorf("core: shard dir: %w", err)
 	}
-	rngs := make([]*rand.Rand, batch)
-	for l := range rngs {
-		rngs[l] = rand.New(rand.NewSource(0))
-	}
-	lo, hi := shardRange(k, S, shard)
-	rows, path, err := g.sampleOneShard(newSampler(), rngs, shard, hi-lo, dir, chunkRows, opts.Span, opts, func(int) {})
+	bs := g.newBlockSampler(newSampler, opts.GenOptions, nil)
+	rows, path, err := g.sampleOneShard(bs, k, S, shard, dir, opts.Span, opts)
 	if err != nil {
 		return "", 0, fmt.Errorf("core: shard %d: %w", shard, err)
 	}
 	return path, rows, nil
 }
 
-// sampleOneShard draws rows tuples for one shard, streaming them to the
-// shard file through a bounded chunk pipeline: the sampler fills pooled
-// chunk buffers and blocks when chunkBuffers of them are in flight, the
-// writer goroutine drains them in order. The chunk size affects only
-// memory and syscall granularity — the byte stream is fixed by
-// (Seed, shard, rows, Batch).
+// sampleOneShard draws shard's blocks and streams them to the shard file
+// through a bounded pipeline: the sampler fills pooled block buffers and
+// stalls while blockBuffers of them are in flight, the writer goroutine
+// drains them in order.
 //
 // Telemetry (the per-shard span under psp, the stream_pass "shard" event
 // with its backpressure wait) is strictly observational: the sampling
 // order, rng consumption, and shard bytes are identical with observers on
-// or off, and the per-chunk wait clock only runs when a hook listens.
-func (g *Generator) sampleOneShard(sampler join.TupleSampler, rngs []*rand.Rand,
-	shard, rows int, dir string, chunkRows int, psp *obs.Span, opts StreamOptions, emitProgress func(int)) (int, string, error) {
+// or off, and the per-block wait clock only runs when a hook listens.
+func (g *Generator) sampleOneShard(bs *blockSampler, k, S, shard int, dir string, psp *obs.Span, opts StreamOptions) (int, string, error) {
 	ncols := g.Layout.NumCols()
-	batch := len(rngs)
-	base := ar.SplitSeed(opts.Seed, shard)
-	for l := range rngs {
-		rngs[l].Seed(ar.LaneSeed(base, l))
-	}
+	b0, b1 := shardBlocks(k, S, shard)
+	rows := min(b1*blockRows, k) - b0*blockRows
 
 	shardStart := time.Now()
 	sp := psp.Child("shard")
@@ -343,35 +231,28 @@ func (g *Generator) sampleOneShard(sampler join.TupleSampler, rngs []*rand.Rand,
 		return 0, "", err
 	}
 
-	type chunk struct {
-		buf  []int32
-		rows int
-	}
-	full := make(chan chunk, chunkBuffers)
-	free := make(chan []int32, chunkBuffers)
-	for i := 0; i < chunkBuffers; i++ {
-		free <- make([]int32, chunkRows*ncols)
+	full := make(chan []int32, blockBuffers)
+	free := make(chan []int32, blockBuffers)
+	for i := 0; i < blockBuffers; i++ {
+		free <- make([]int32, blockRows*ncols)
 	}
 	var writeFailed atomic.Bool
 	writeErr := make(chan error, 1)
 	go func() {
 		var err error
-		for c := range full {
+		for buf := range full {
 			if err == nil {
-				if err = w.WriteRows(c.buf[:c.rows*ncols]); err != nil {
+				if err = w.WriteRows(buf); err != nil {
 					writeFailed.Store(true)
 				}
 			}
-			free <- c.buf
+			free <- buf[:cap(buf)]
 		}
 		writeErr <- err
 	}()
 
-	bs, okBatch := sampler.(join.BatchTupleSampler)
-	okBatch = okBatch && batch > 1 && bs.BatchCap() >= batch
-
-	// bpWait accumulates time blocked on the bounded chunk pipeline (all
-	// chunkBuffers buffers in flight to the writer) — the backpressure
+	// bpWait accumulates time blocked on the bounded pipeline (all
+	// blockBuffers buffers in flight to the writer) — the backpressure
 	// signal behind stream_backpressure_wait_seconds. The clock only runs
 	// when a StreamPass hook listens; the channel protocol is identical
 	// either way.
@@ -390,40 +271,12 @@ func (g *Generator) sampleOneShard(sampler join.TupleSampler, rngs []*rand.Rand,
 		bpWait += time.Since(waitStart)
 		return buf
 	}
-	cur := takeFree()
-	filled := 0 // rows in cur
-	flush := func() {
-		if filled > 0 {
-			full <- chunk{cur, filled}
-			cur = takeFree()
-			filled = 0
-		}
+	for b := b0; b < b1 && !writeFailed.Load(); b++ {
+		lo, hi := blockRange(k, b)
+		buf := takeFree()[:(hi-lo)*ncols]
+		bs.draw(b, buf)
+		full <- buf
 	}
-	for done := 0; done < rows && !writeFailed.Load(); {
-		n := min(batch, rows-done)
-		dst := cur[filled*ncols : (filled+n)*ncols]
-		if okBatch && n > 0 {
-			bs.SampleFOJBatch(rngs[:n], dst)
-			for i := 0; i < n; i++ {
-				g.sanitize(dst[i*ncols : (i+1)*ncols])
-			}
-		} else {
-			// Per-tuple fallback keeps the same lane-strided rng assignment
-			// as the batched kernel, matching drawSamples.
-			for i := 0; i < n; i++ {
-				row := dst[i*ncols : (i+1)*ncols]
-				sampler.SampleFOJ(rngs[i], row)
-				g.sanitize(row)
-			}
-		}
-		filled += n
-		done += n
-		emitProgress(n)
-		if filled == chunkRows {
-			flush()
-		}
-	}
-	flush()
 	close(full)
 	err = <-writeErr
 	if cerr := w.Close(); err == nil {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,6 +17,10 @@ import (
 // defaultPartitions is the spill fan-out when StreamOptions.Partitions is
 // unset. Peak merge memory scales with (samples ÷ partitions).
 const defaultPartitions = 64
+
+// readRows is the row count of the buffer the merge passes read shard
+// files through.
+const readRows = 8192
 
 // StreamResult summarizes one streaming generation run.
 type StreamResult struct {
@@ -77,33 +80,6 @@ func (s *ShardSet) Stream(buf []int32, fn func(idx int64, row []int32) error) er
 		return fmt.Errorf("core: shard set replayed %d rows, expected %d", idx, s.Total)
 	}
 	return nil
-}
-
-// tableCtx caches the per-table layout lookups the streaming passes make
-// per sample.
-type tableCtx struct {
-	t           *relation.Table
-	hasChildren bool
-	fanIdx      int
-	hasFan      bool
-	down        []int
-	factor      float64 // per-table weight scaling (Sizes / weight mass)
-	ctIdx       []int   // layout column index per t.Cols position
-	idCols      []int   // identifier columns (internal tables)
-}
-
-// sampleWeight computes one sample's scaled Alg. 2 weight for the table:
-// zero for NULL presence, else factor·Π 1/WeightVals — the same float
-// expression the in-memory weight pass evaluates.
-func (g *Generator) sampleWeight(tc *tableCtx, row []int32) float64 {
-	if tc.hasFan && row[tc.fanIdx] == 0 {
-		return 0
-	}
-	wi := 1.0
-	for _, f := range tc.down {
-		wi /= g.Layout.Cols[f].WeightVals[row[f]]
-	}
-	return wi * tc.factor
 }
 
 // memberRec is one group member carried from the grouping pass to the key
@@ -188,46 +164,17 @@ func (g *Generator) MaterializeStream(set *ShardSet, opts StreamOptions) (*Strea
 	}
 	defer os.RemoveAll(spillDir)
 
-	chunkRows := opts.ChunkRows
-	if chunkRows <= 0 {
-		chunkRows = defaultChunkRows
-	}
-	buf := make([]int32, chunkRows*ncols)
+	buf := make([]int32, readRows*ncols)
 
 	// Weight pass: one scan computes every table's weight mass, giving the
 	// per-table scaling factors (Alg. 2's |T|/Σw).
 	weightSpan := opts.Span.Child("weight")
 	wStart := time.Now()
-	tcs := make([]*tableCtx, 0, len(g.Layout.Schema.Tables))
-	for _, t := range g.Layout.Schema.Tables {
-		fanIdx, hasFan := g.Layout.FanoutIndex(t.Name)
-		tc := &tableCtx{
-			t:           t,
-			hasChildren: len(g.Layout.Schema.Children(t.Name)) > 0,
-			fanIdx:      fanIdx,
-			hasFan:      hasFan,
-			down:        g.Layout.DownweightColumns([]string{t.Name}),
-			ctIdx:       make([]int, len(t.Cols)),
-		}
-		for ci, c := range t.Cols {
-			tc.ctIdx[ci] = g.Layout.ContentIndex(t.Name, c.Name)
-		}
-		if tc.hasChildren {
-			tc.idCols = g.Layout.IdentifierColumns(t.Name)
-		}
-		tcs = append(tcs, tc)
-	}
+	tcs := g.tableCtxs()
 	sums := make([]float64, len(tcs))
 	err := set.Stream(buf, func(_ int64, row []int32) error {
 		for ti, tc := range tcs {
-			if tc.hasFan && row[tc.fanIdx] == 0 {
-				continue
-			}
-			wi := 1.0
-			for _, f := range tc.down {
-				wi /= g.Layout.Cols[f].WeightVals[row[f]]
-			}
-			sums[ti] += wi
+			sums[ti] += g.rawWeight(tc, row)
 		}
 		return nil
 	})
@@ -394,7 +341,7 @@ func (g *Generator) streamInternal(set *ShardSet, tc *tableCtx, parent *spanMerg
 				return err
 			}
 		}
-		wi := g.sampleWeight(tc, row)
+		wi := g.rawWeight(tc, row) * tc.factor
 		if wi <= 0 {
 			return nil
 		}
@@ -556,7 +503,8 @@ func (g *Generator) streamInternal(set *ShardSet, tc *tableCtx, parent *spanMerg
 	var counter int64
 	vals := make([]int32, nc)
 	var spanBuf []spanRec
-	var spanRecs int64 // span-run records written, for the pass C event
+	var cells []keySpan // one member's spans, reused
+	var spanRecs int64  // span-run records written, for the pass C event
 	curSpanPart := 0
 	flushSpansTo := func(part int) error {
 		for curSpanPart < part {
@@ -576,7 +524,6 @@ func (g *Generator) streamInternal(set *ShardSet, tc *tableCtx, parent *spanMerg
 		if err := flushSpansTo(p.part); err != nil {
 			return err
 		}
-		cell := p.gw / float64(p.count)
 		base := counter
 		counter += int64(p.count)
 		for j := 0; j < p.count; j++ {
@@ -587,26 +534,11 @@ func (g *Generator) streamInternal(set *ShardSet, tc *tableCtx, parent *spanMerg
 				return err
 			}
 		}
-		acc := 0.0
+		walk := newCellWalk(base, p.count, p.gw)
 		for _, m := range p.members {
-			start, end := acc, acc+m.w
-			acc = end
-			first := int(start / cell)
-			last := int((end - 1e-12) / cell)
-			if first >= p.count {
-				first = p.count - 1
-			}
-			if last >= p.count {
-				last = p.count - 1
-			}
-			for c := first; c <= last; c++ {
-				lo := math.Max(start, float64(c)*cell)
-				hi := math.Min(end, float64(c+1)*cell)
-				frac := (hi - lo) / m.w
-				if frac <= 0 {
-					continue
-				}
-				spanBuf = append(spanBuf, spanRec{idx: m.idx, key: base + int64(c), frac: frac})
+			cells = walk.split(cells[:0], m.w)
+			for _, c := range cells {
+				spanBuf = append(spanBuf, spanRec{idx: m.idx, key: c.key, frac: c.frac})
 			}
 		}
 		return nil
@@ -750,7 +682,7 @@ func (g *Generator) streamLeaf(set *ShardSet, tc *tableCtx, parent *spanMerge,
 				return err
 			}
 		}
-		wi := g.sampleWeight(tc, row)
+		wi := g.rawWeight(tc, row) * tc.factor
 		if wi <= 0 {
 			return nil
 		}

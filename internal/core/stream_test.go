@@ -48,10 +48,10 @@ func fileBytes(t *testing.T, path string) []byte {
 	return b
 }
 
-// TestShardBytesInvariantAcrossWorkers is the golden determinism test for
-// the sharded sampler: for a fixed (seed, shard, batch, shard count) the
-// shard files are bit-identical whether sampled by 1, 2, or 4 workers, and
-// whether produced by a full run or by regenerating a single shard.
+// TestShardBytesInvariantAcrossWorkers checks the shard files themselves:
+// for a fixed (seed, batch, shard count) they are bit-identical whether
+// sampled by 1, 2, or 4 workers, and whether produced by a full run or by
+// regenerating a single shard.
 func TestShardBytesInvariantAcrossWorkers(t *testing.T) {
 	orig := datagen.IMDB(11, 120)
 	l := join.NewLayout(orig)
@@ -60,7 +60,7 @@ func TestShardBytesInvariantAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const k = 4000
+	const k = 4000 // four blocks, the last one partial
 	newSampler := func() join.TupleSampler { return o }
 
 	var golden [][]byte
@@ -68,7 +68,6 @@ func TestShardBytesInvariantAcrossWorkers(t *testing.T) {
 		opts := DefaultStreamOptions(42, t.TempDir())
 		opts.Shards = 4
 		opts.Workers = workers
-		opts.ChunkRows = 100 + workers*37 // chunking must not affect bytes either
 		set, err := gen.SampleShards(newSampler, k, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -99,8 +98,8 @@ func TestShardBytesInvariantAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows != k/4 {
-		t.Fatalf("shard 2 rows %d want %d", rows, k/4)
+	if rows != blockRows {
+		t.Fatalf("shard 2 rows %d want %d", rows, blockRows)
 	}
 	if string(fileBytes(t, path)) != string(golden[2]) {
 		t.Fatal("regenerated shard 2 differs from the full run's shard 2")
@@ -143,27 +142,7 @@ func TestStreamingExactRecovery(t *testing.T) {
 
 	// Write the enumerated samples as two shard files.
 	dir := t.TempDir()
-	shardDir := filepath.Join(dir, "shards")
-	if err := os.MkdirAll(shardDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	half := (k / 2) * ncols
-	for shard, part := range [][]int32{flat[:half], flat[half:]} {
-		w, err := relation.CreateShardFile(shardDir, shard, ncols, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteRows(part); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	set, err := OpenShardSet(shardDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := writeShards(t, dir, ncols, flat, k/2, k-k/2)
 	if set.Total != k {
 		t.Fatalf("reopened shard set holds %d rows want %d", set.Total, k)
 	}
@@ -290,10 +269,9 @@ func TestGenerateStreamDeepChain(t *testing.T) {
 	}
 }
 
-// TestGenerateStreamDeterministicAcrossWorkers pins the generalized
-// contract end to end: the full streaming pipeline emits byte-identical
-// CSVs for a fixed (seed, shards, batch, partitions) no matter the worker
-// count.
+// TestGenerateStreamDeterministicAcrossWorkers pins the contract end to
+// end: the full streaming pipeline emits byte-identical CSVs for a fixed
+// (seed, batch, partitions) whatever the shard and worker counts.
 func TestGenerateStreamDeterministicAcrossWorkers(t *testing.T) {
 	orig := datagen.IMDB(15, 100)
 	l := join.NewLayout(orig)
@@ -303,11 +281,10 @@ func TestGenerateStreamDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var golden map[string][]byte
-	for _, workers := range []int{1, 3} {
+	for _, sw := range [][2]int{{1, 1}, {3, 1}, {1, 3}, {3, 3}} {
 		opts := DefaultStreamOptions(77, t.TempDir())
 		opts.Samples = 6000
-		opts.Shards = 4
-		opts.Workers = workers
+		opts.Shards, opts.Workers = sw[0], sw[1]
 		opts.Partitions = 5
 		res, err := gen.GenerateStream(func() join.TupleSampler { return o }, opts)
 		if err != nil {
@@ -323,7 +300,7 @@ func TestGenerateStreamDeterministicAcrossWorkers(t *testing.T) {
 		}
 		for name := range golden {
 			if string(golden[name]) != string(cur[name]) {
-				t.Fatalf("table %s CSV differs between workers=1 and workers=%d", name, workers)
+				t.Fatalf("table %s CSV differs at shards=%d workers=%d", name, sw[0], sw[1])
 			}
 		}
 	}
@@ -350,24 +327,7 @@ func TestStreamingMatchesInMemorySizes(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	shardDir := filepath.Join(dir, "shards")
-	if err := os.MkdirAll(shardDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	w, err := relation.CreateShardFile(shardDir, 0, l.NumCols(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteRows(flat); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	set, err := OpenShardSet(shardDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := writeShards(t, dir, l.NumCols(), flat, k)
 	res, err := gen.MaterializeStream(set, DefaultStreamOptions(5, dir))
 	if err != nil {
 		t.Fatal(err)

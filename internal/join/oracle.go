@@ -18,7 +18,7 @@ type TupleSampler interface {
 
 // BatchTupleSampler is a TupleSampler that can draw many tuples per call,
 // one forward sweep advancing a whole batch of lanes column by column.
-// core.drawSamples type-asserts for it when GenOptions.Batch > 1.
+// core.DrawSamples type-asserts for it when GenOptions.Batch > 1.
 type BatchTupleSampler interface {
 	TupleSampler
 	// BatchCap returns the maximum lane count per SampleFOJBatch call.

@@ -10,7 +10,7 @@ import (
 	"sam/internal/lint/analysis"
 )
 
-// MapOrder enforces the determinism half of the (seed, shard) contract at
+// MapOrder enforces the determinism half of the (seed, batch, row) contract at
 // its most common failure point: Go map iteration order is randomized per
 // run, so any value derived from ranging over a map must never reach an
 // output writer, a hash, an RNG seed, or a merge comparator. A violation

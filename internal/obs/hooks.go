@@ -49,7 +49,7 @@ type GenPhase struct {
 // GenProgress is a rolling in-flight report from a generation phase:
 // how many of the phase's units are done, the rolling throughput, and
 // the ETA it implies. Emission is throttled at the source (see
-// core.drawSamples), so listeners can print every event.
+// core.DrawSamples), so listeners can print every event.
 type GenProgress struct {
 	Phase       string // "sample" (FOJ tuple draws)
 	Done, Total int
@@ -78,7 +78,7 @@ type StreamPass struct {
 	// BytesWritten / BytesRead count spill bytes moved by the pass.
 	BytesWritten, BytesRead int64
 	// BackpressureWait is the cumulative time a shard's sampler spent
-	// blocked on the bounded chunk pipeline (Pass == "shard" only).
+	// blocked on the bounded block pipeline (Pass == "shard" only).
 	BackpressureWait time.Duration
 	Wall             time.Duration
 }
@@ -250,7 +250,7 @@ func MetricsHooks(r *Registry) *Hooks {
 
 	// Streaming-pipeline families (core.SampleShards / MaterializeStream):
 	// per-pass record flow, spill traffic, run counts, merge fan-in, and
-	// the sampler's chunk-pipeline backpressure wait.
+	// the sampler's block-pipeline backpressure wait.
 	passSec := r.HistogramVec("stream_pass_seconds", latBounds, "pass")
 	passRecs := r.CounterVec("stream_records_total", "pass", "dir")
 	spillBytes := r.CounterVec("stream_spill_bytes_total", "pass", "dir")

@@ -92,7 +92,7 @@ func matMulSuffixRange(dst, a, b *Tensor, spans []int, lo, hi int, acc bool) {
 	if cols == 0 || n == 0 {
 		return
 	}
-	if looksSparse(a.Data[lo*cols : hi*cols]) {
+	if looksSparse(a.Data[:a.Rows*cols]) {
 		for i := lo; i < hi; i++ {
 			arow := a.Data[i*cols : (i+1)*cols]
 			drow := dst.Data[i*n : (i+1)*n]
@@ -621,7 +621,7 @@ func matMulMaskedRange(dst, a, b *Tensor, spans []int, lo, hi int, acc bool) {
 	if cols == 0 || n == 0 {
 		return
 	}
-	if looksSparse(a.Data[lo*cols : hi*cols]) {
+	if looksSparse(a.Data[:a.Rows*cols]) {
 		for i := lo; i < hi; i++ {
 			arow := a.Data[i*cols : (i+1)*cols]
 			drow := dst.Data[i*n : (i+1)*n]

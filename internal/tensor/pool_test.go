@@ -252,6 +252,65 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 	}
 }
 
+// TestDensityDispatchIndependentOfRowSplit pins the sparse/dense choice to
+// the whole operand. The probe a has dense rows in its first half and rows
+// with 24 contiguous nonzeros in its second: split over two workers, each
+// half would classify differently, and the sparse path (one axpy per
+// nonzero) rounds differently from the dense one (axpy4 sums four terms
+// at a time). Every kernel must return the serial bits under any split.
+func TestDensityDispatchIndependentOfRowSplit(t *testing.T) {
+	old := MatMulWorkers()
+	defer SetMatMulWorkers(old)
+
+	const m, k, n = 64, 256, 64
+	rng := rand.New(rand.NewSource(29))
+	a := New(m, k)
+	for i := 0; i < m; i++ {
+		row := a.Data[i*k : (i+1)*k]
+		if i < m/2 {
+			for j := range row {
+				row[j] = rng.NormFloat64()
+			}
+			continue
+		}
+		start := rng.Intn(k - 24)
+		for j := start; j < start+24; j++ {
+			row[j] = rng.NormFloat64()
+		}
+	}
+	b := New(k, n)
+	b.Randn(rng, 1)
+	spans := make([]int, 2*k) // full suffix spans [0, n)
+	for r := 0; r < k; r++ {
+		spans[2*r+1] = n
+	}
+	kernels := []struct {
+		name string
+		run  func(dst *Tensor)
+	}{
+		{"MatMul", func(d *Tensor) { MatMulInto(d, a, b) }},
+		{"MatMulMasked", func(d *Tensor) { MatMulMaskedInto(d, a, b, spans) }},
+		{"MatMulMaskedSuffix", func(d *Tensor) { MatMulMaskedSuffixInto(d, a, b, spans) }},
+	}
+	for _, kr := range kernels {
+		SetMatMulWorkers(1)
+		serial := New(m, n)
+		kr.run(serial)
+		SetMatMulWorkers(2)
+		split := New(m, n)
+		kr.run(split)
+		diff := 0
+		for i := range serial.Data {
+			if serial.Data[i] != split.Data[i] {
+				diff++
+			}
+		}
+		if diff > 0 {
+			t.Errorf("%s: %d of %d outputs differ between 1 and 2 kernel workers", kr.name, diff, m*n)
+		}
+	}
+}
+
 // TestWarmTapeAllocs checks the headline pooling property: a warm tape's
 // forward+backward step performs no heap allocation. Kernels are forced
 // serial because the parallel path allocates goroutine bookkeeping.

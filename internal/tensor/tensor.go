@@ -168,7 +168,10 @@ func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 // looksSparse estimates whether under a quarter of data is nonzero by
 // sampling a strided subset, so density dispatch costs O(sample) instead of
 // a full scan per kernel call. One-hot progressive-sampling inputs are
-// uniformly sparse, so a small sample classifies them reliably.
+// uniformly sparse, so a small sample classifies them reliably. Range
+// kernels pass the whole operand, never their row range: the sparse and
+// dense paths round differently, so the choice must not depend on how
+// runKernel happened to split the rows.
 func looksSparse(data []float64) bool {
 	const sample = 256
 	stride := len(data) / sample
@@ -229,7 +232,7 @@ func matMulRange(dst, a, b *Tensor, _ []int, lo, hi int, acc bool) {
 	}
 	// Sparse inputs (one-hot blocks from progressive sampling) skip rows of
 	// b entirely; dense inputs take the tiled, register-blocked path.
-	if looksSparse(a.Data[lo*cols : hi*cols]) {
+	if looksSparse(a.Data[:a.Rows*cols]) {
 		for i := lo; i < hi; i++ {
 			arow := a.Data[i*cols : (i+1)*cols]
 			drow := dst.Data[i*n : (i+1)*n]

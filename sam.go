@@ -163,9 +163,10 @@ func Train(layout *Layout, wl *Workload, population float64, cfg TrainConfig) (*
 func DefaultGenOptions(seed int64) GenOptions { return core.DefaultGenOptions(seed) }
 
 // Generate synthesizes a database from a trained model. sizes gives the
-// target row count per table. With opts.Batch > 1 each worker draws whole
+// target row count per table. With opts.Batch > 1 each sampler draws whole
 // batches of tuples per forward sweep (batched ancestral sampling); the
-// output is deterministic for a fixed (Seed, Workers, Batch) triple.
+// output is a pure function of (Seed, Batch, Samples), whatever Workers or
+// GOMAXPROCS.
 func Generate(m *Model, sizes map[string]int, opts GenOptions) (*Schema, error) {
 	gen, err := core.FromModel(m, sizes)
 	if err != nil {
