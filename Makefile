@@ -18,8 +18,11 @@ SCALE_OUT ?= BENCH_scale.json
 SCALE_MIN_RPS ?= 20000
 SCALE_MAX_MEM ?= 256
 
+# Per-target budget of the fuzz smoke run.
+FUZZTIME ?= 10s
+
 .PHONY: all build test race race-test pipebench-test lint fmt vet staticcheck \
-	samlint vuln bench-gate scale-bench scale-gate trace-smoke
+	samlint vuln bench-gate scale-bench scale-gate trace-smoke fuzz-smoke
 
 all: build test
 
@@ -117,3 +120,13 @@ trace-smoke:
 		-metrics metrics.prom -top 5 -o report.md
 	@grep -q 'Run ID' report.md || { echo "samreport: no run ID in report.md"; exit 1; }
 	$(GO) test -run 'TestSambenchTraceSmoke|TestSamreportSmoke|TestSambenchPrometheusEndpoint' -v .
+
+## fuzz-smoke runs each fuzz target over the telemetry readers samtrace
+## and samreport trust (ReadTrace and the trace analysis behind it,
+## ReadRunLog, ParsePrometheus) for FUZZTIME. go test runs one -fuzz
+## target at a time, hence one line per target. A crasher lands under
+## internal/obs/testdata/fuzz; fix the reader and commit the input.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRunLog$$' -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePrometheus$$' -fuzztime $(FUZZTIME) ./internal/obs

@@ -17,18 +17,17 @@
 // experiment separately.
 //
 // -trace records the run's phase tree (train/sample/weight/merge/eval
-// spans with wall time and allocation deltas) as JSONL and prints its
-// summary after the reports. -progress streams per-epoch training loss
+// spans with wall time and allocation deltas) as JSONL and prints the
+// tree after the reports. -progress streams per-epoch training loss
 // (with an ETA), throttled sampling progress, and per-phase generation
-// stats to stderr. -debug-addr serves live net/http/pprof, expvar, the
-// telemetry registry in Prometheus text format at /metrics (JSON at
-// /metrics.json), and the recent-event ring at /debug/events while the
-// run is hot. Traces written with -trace feed the samtrace analyzer.
-// -runlog appends every pipeline event as structured JSONL and
-// -metrics-out snapshots the final registry as Prometheus text; every
-// invocation mints a run ID stamped into all artifacts (trace root,
-// run-log lines, sam_run_info family, scalebench report), which is how
-// cmd/samreport joins them back together.
+// stats to stderr. -debug-addr serves live net/http/pprof and the
+// telemetry registry in Prometheus text format at /metrics while the run
+// is hot. Traces written with -trace feed the samtrace analyzer.
+// -runlog appends every pipeline event as structured JSONL (follow it
+// live with tail -f) and -metrics-out snapshots the final registry as
+// Prometheus text; every invocation mints a run ID stamped into all
+// artifacts (trace root, run-log lines, sam_run_info family, scalebench
+// report), which is how cmd/samreport joins them back together.
 //
 // -tensorbench skips the experiments and instead micro-benchmarks the
 // tensor hot paths (dense matmul, MADE training forward+backward, sampling
@@ -67,11 +66,7 @@ func main() {
 	scaleWorkers := flag.Int("scaleworkers", 0, "sampling workers for -scalebench (0 = GOMAXPROCS)")
 	scalePartitions := flag.Int("scalepartitions", 0, "spill partitions for -scalebench (0 = 64)")
 	scaleDir := flag.String("scaledir", "", "scratch directory for -scalebench shards and spill files (default: a temp dir)")
-	traceOut := flag.String("trace", "", "write the run's phase trace (JSONL spans) to this file")
-	runlogOut := flag.String("runlog", "", "append the run's structured events as JSONL (framed by run_start/run_end and stamped with the run ID) to this file")
-	metricsOut := flag.String("metrics-out", "", "write the final telemetry registry in Prometheus text format to this file at exit")
-	progress := flag.Bool("progress", false, "stream per-epoch training and per-phase generation progress to stderr")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /metrics on this address (e.g. :6060)")
+	tel := obs.NewSession(flag.CommandLine)
 	flag.Parse()
 
 	if *tensorBench != "" {
@@ -90,96 +85,13 @@ func main() {
 		return
 	}
 
-	// One run ID correlates every artifact this invocation emits — trace
-	// root, event ring, sam_run_info family, run log, and the scalebench
-	// report — so samreport can join them offline.
-	runID := obs.NewRunID()
-	reg := obs.Default()
-	var hooks *obs.Hooks
-	if *debugAddr != "" || *metricsOut != "" {
-		obs.StampRunInfo(reg, runID, obs.BuildMeta())
-		hooks = obs.MetricsHooks(reg)
+	if err := tel.Start("sambench"); err != nil {
+		log.Fatal(err)
 	}
-	if *debugAddr != "" {
-		events := obs.NewEventLog(obs.DefaultEventLogSize)
-		events.SetRunID(runID)
-		hooks = obs.Merge(hooks, obs.EventLogHooks(events))
-		addr, closeDebug, err := obs.ServeDebug(*debugAddr, reg, events)
-		if err != nil {
-			log.Fatalf("debug server: %v", err)
-		}
-		defer closeDebug()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (pprof, expvar, /metrics, /metrics.json, /debug/events)\n", addr)
-	}
-	if *progress {
-		hooks = obs.Merge(hooks, obs.ProgressHooks(os.Stderr))
-	}
-	var runlog *obs.RunLog
-	var runlogFile *os.File
-	if *runlogOut != "" {
-		f, err := os.Create(*runlogOut)
-		if err != nil {
-			log.Fatalf("runlog: %v", err)
-		}
-		runlog = obs.NewRunLog(f, runID)
-		runlogFile = f
-		hooks = obs.Merge(hooks, obs.RunLogHooks(runlog))
-	}
-	var trace *obs.Trace
-	if *traceOut != "" {
-		trace = obs.NewTrace("sambench")
-		root := trace.Root()
-		root.SetAttr("seed", *seed)
-		root.SetAttr("run_id", runID)
-		obs.BuildMeta().SetAttrs(root)
-	}
-	// flushTelemetry finishes the artifacts the flags configured; every
-	// exit path below runs it after the work completes.
-	flushTelemetry := func() {
-		if trace != nil {
-			trace.Root().End()
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				log.Fatalf("trace: %v", err)
-			}
-			if err := trace.WriteJSONL(f); err != nil {
-				f.Close()
-				log.Fatalf("trace: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatalf("trace: %v", err)
-			}
-			fmt.Println("== phase trace ==")
-			fmt.Print(trace.Summary())
-			fmt.Printf("trace written to %s\n", *traceOut)
-		}
-		if runlog != nil {
-			if err := runlog.Close(); err != nil {
-				log.Fatalf("runlog: %v", err)
-			}
-			if err := runlogFile.Close(); err != nil {
-				log.Fatalf("runlog: %v", err)
-			}
-		}
-		if *metricsOut != "" {
-			f, err := os.Create(*metricsOut)
-			if err != nil {
-				log.Fatalf("metrics-out: %v", err)
-			}
-			if err := obs.WritePrometheus(f, reg); err != nil {
-				f.Close()
-				log.Fatalf("metrics-out: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatalf("metrics-out: %v", err)
-			}
-		}
-	}
+	tel.Root().SetAttr("seed", *seed)
 
 	if *scaleBench != "" {
-		if trace != nil {
-			trace.Root().SetAttr("scalerows", *scaleRows)
-		}
+		tel.Root().SetAttr("scalerows", *scaleRows)
 		rep, err := experiments.RunScaleBench(experiments.ScaleBenchConfig{
 			Rows:       *scaleRows,
 			Shards:     *scaleShards,
@@ -188,9 +100,9 @@ func main() {
 			Partitions: *scalePartitions,
 			Dir:        *scaleDir,
 			Seed:       *seed,
-			RunID:      runID,
-			Hooks:      hooks,
-			Span:       trace.Root(),
+			RunID:      tel.RunID,
+			Hooks:      tel.Hooks,
+			Span:       tel.Root(),
 		})
 		if err != nil {
 			log.Fatalf("scalebench: %v", err)
@@ -208,7 +120,9 @@ func main() {
 			rep.WeightWallMs, rep.PassAWallMs, rep.PassBWallMs, rep.PassCWallMs)
 		fmt.Printf("scalebench: peak heap %.1f MiB, peak RSS %.1f MiB, shard bytes %.1f MiB\n",
 			float64(rep.PeakHeapBytes)/(1<<20), float64(rep.PeakRSSBytes)/(1<<20), float64(rep.ShardBytes)/(1<<20))
-		flushTelemetry()
+		if err := tel.Close(); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 
@@ -235,12 +149,10 @@ func main() {
 		}
 	}
 	ctx := experiments.NewContext(scale, logf)
-	if trace != nil {
-		trace.Root().SetAttr("scale", *scaleFlag)
-		trace.Root().SetAttr("experiments", *expFlag)
-	}
-	ctx.Hooks = hooks
-	ctx.Span = trace.Root()
+	tel.Root().SetAttr("scale", *scaleFlag)
+	tel.Root().SetAttr("experiments", *expFlag)
+	ctx.Hooks = tel.Hooks
+	ctx.Span = tel.Root()
 
 	runners := experiments.Runners()
 	wanted := map[string]bool{}
@@ -274,7 +186,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "total: %v\n", time.Since(start).Round(time.Millisecond))
 	}
 
-	flushTelemetry()
+	if err := tel.Close(); err != nil {
+		log.Fatal(err)
+	}
 }
 
 func idList(rs []experiments.Runner) string {

@@ -31,16 +31,16 @@ func main() {
 	modelPath := flag.String("model", "", "model saved by samgen -save")
 	marginals := flag.Int("marginals", 2000, "samples used to estimate model marginals")
 	batch := flag.Int("batch", 64, "ancestral-sampling lanes for marginal estimation (<=1 samples one tuple at a time)")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /metrics on this address (e.g. :6060)")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics on this address (e.g. :6060)")
 	flag.Parse()
 
 	if *debugAddr != "" {
-		addr, closeDebug, err := obs.ServeDebug(*debugAddr, obs.Default(), nil)
+		addr, closeDebug, err := obs.ServeDebug(*debugAddr, obs.Default())
 		if err != nil {
 			log.Fatalf("debug server: %v", err)
 		}
 		defer closeDebug()
-		log.Printf("debug server on http://%s (pprof, expvar, /metrics, /metrics.json)", addr)
+		log.Printf("debug server on http://%s (/debug/pprof, /metrics)", addr)
 	}
 
 	var spec relation.SchemaSpec

@@ -173,7 +173,10 @@ func (h *Hooks) EvalQuery(q EvalQuery) {
 }
 
 // Merge fans every event out to all non-nil hooks. Nil inputs are skipped;
-// merging zero or one effective hooks returns that hook directly.
+// merging zero or one effective hooks returns that hook directly. Each
+// merged callback is set only when some input sets it, so the merged
+// hooks want exactly the signals their inputs want (WantsTrainStep and
+// friends stay false when nobody listens).
 func Merge(hooks ...*Hooks) *Hooks {
 	var live []*Hooks
 	for _, h := range hooks {
@@ -187,38 +190,37 @@ func Merge(hooks ...*Hooks) *Hooks {
 	case 1:
 		return live[0]
 	}
-	out := &Hooks{}
-	out.OnTrainEpoch = func(e TrainEpoch) {
-		for _, h := range live {
-			h.TrainEpoch(e)
+	return &Hooks{
+		OnTrainEpoch:  fanOut(live, func(h *Hooks) func(TrainEpoch) { return h.OnTrainEpoch }),
+		OnTrainStep:   fanOut(live, func(h *Hooks) func(TrainStep) { return h.OnTrainStep }),
+		OnGenPhase:    fanOut(live, func(h *Hooks) func(GenPhase) { return h.OnGenPhase }),
+		OnGenProgress: fanOut(live, func(h *Hooks) func(GenProgress) { return h.OnGenProgress }),
+		OnStreamPass:  fanOut(live, func(h *Hooks) func(StreamPass) { return h.OnStreamPass }),
+		OnEvalQuery:   fanOut(live, func(h *Hooks) func(EvalQuery) { return h.OnEvalQuery }),
+	}
+}
+
+// fanOut merges one callback field across hooks: nil when no hook sets
+// it, the single callback when one does, and a loop over all of them
+// otherwise.
+func fanOut[E any](hooks []*Hooks, field func(*Hooks) func(E)) func(E) {
+	var fns []func(E)
+	for _, h := range hooks {
+		if fn := field(h); fn != nil {
+			fns = append(fns, fn)
 		}
 	}
-	out.OnTrainStep = func(s TrainStep) {
-		for _, h := range live {
-			h.TrainStep(s)
+	switch len(fns) {
+	case 0:
+		return nil
+	case 1:
+		return fns[0]
+	}
+	return func(e E) {
+		for _, fn := range fns {
+			fn(e)
 		}
 	}
-	out.OnGenPhase = func(p GenPhase) {
-		for _, h := range live {
-			h.GenPhase(p)
-		}
-	}
-	out.OnGenProgress = func(p GenProgress) {
-		for _, h := range live {
-			h.GenProgress(p)
-		}
-	}
-	out.OnStreamPass = func(p StreamPass) {
-		for _, h := range live {
-			h.StreamPass(p)
-		}
-	}
-	out.OnEvalQuery = func(q EvalQuery) {
-		for _, h := range live {
-			h.EvalQuery(q)
-		}
-	}
-	return out
 }
 
 // MetricsHooks returns hooks that feed the registry: training loss/grad

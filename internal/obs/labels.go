@@ -250,25 +250,6 @@ func (r *Registry) HistogramVec(name string, bounds []float64, labels ...string)
 	return v
 }
 
-// renderLabels formats name{k1="v1",k2="v2"} — the flat-snapshot key for
-// one labeled child.
-func renderLabels(name string, labels, values []string) string {
-	var sb strings.Builder
-	sb.WriteString(name)
-	sb.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(l)
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabelValue(values[i]))
-		sb.WriteByte('"')
-	}
-	sb.WriteByte('}')
-	return sb.String()
-}
-
 // sortedChildKeys returns the child map keys of one family in
 // deterministic (label-tuple) order.
 func sortedChildKeys[M any](children map[string]M) []string {

@@ -9,7 +9,7 @@ import (
 
 // TestLabeledVectors pins the family behavior: children are keyed by the
 // full label tuple, repeat With calls return the same handle, and the
-// flat snapshot folds children in under rendered keys.
+// exposition renders each child under its labels.
 func TestLabeledVectors(t *testing.T) {
 	r := NewRegistry()
 
@@ -31,18 +31,16 @@ func TestLabeledVectors(t *testing.T) {
 	h.With("sample").Observe(0.05)
 	h.With("sample").Observe(0.5)
 
-	snap := r.Snapshot()
-	if snap.Counters[`req_total{table="users",phase="merge"}`] != 3 {
-		t.Fatalf("snapshot counters: %+v", snap.Counters)
-	}
-	if snap.Counters[`req_total{table="orders",phase="merge"}`] != 1 {
-		t.Fatalf("snapshot counters: %+v", snap.Counters)
-	}
-	if snap.Gauges[`mass{table="users"}`] != 7.5 {
-		t.Fatalf("snapshot gauges: %+v", snap.Gauges)
-	}
-	if snap.Histograms[`lat{phase="sample"}`].Count != 2 {
-		t.Fatalf("snapshot histograms: %+v", snap.Histograms)
+	vals := scrape(t, r)
+	for key, want := range map[string]float64{
+		`req_total{table="users",phase="merge"}`:  3,
+		`req_total{table="orders",phase="merge"}`: 1,
+		`mass{table="users"}`:                     7.5,
+		`lat_count{phase="sample"}`:               2,
+	} {
+		if got, ok := vals[key]; !ok || got != want {
+			t.Fatalf("%s = %v (present %v), want %v", key, got, ok, want)
+		}
 	}
 
 	// First registration wins, like Histogram bounds.
@@ -65,8 +63,7 @@ func TestLabeledVectorCardinalityPanics(t *testing.T) {
 }
 
 // TestLabeledVectorsConcurrent hammers child creation and updates across
-// all three vector kinds while snapshots and Prometheus exposition run
-// concurrently — the data-race gate for the labeled path (run with
+// all three vector kinds while Prometheus exposition runs concurrently — the data-race gate for the labeled path (run with
 // -race). Counter totals must come out exact.
 func TestLabeledVectorsConcurrent(t *testing.T) {
 	r := NewRegistry()
@@ -94,7 +91,7 @@ func TestLabeledVectorsConcurrent(t *testing.T) {
 			}
 		}(w)
 	}
-	// Concurrent readers: snapshots and exposition while children churn.
+	// Concurrent readers: exposition while children churn.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -107,7 +104,6 @@ func TestLabeledVectorsConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				r.Snapshot()
 				if err := WritePrometheus(discard{}, r); err != nil {
 					t.Error(err)
 					return

@@ -39,11 +39,6 @@ func TestNilSafeEntryPoints(t *testing.T) {
 				t.Fatalf("nil trace WriteJSONL = %v, want nil", err)
 			}
 		}},
-		{"Trace.Summary", func(t *testing.T) {
-			if got := nilTrace.Summary(); got != "" {
-				t.Fatalf("nil trace Summary = %q, want empty", got)
-			}
-		}},
 
 		{"Hooks.WantsTrainStep", func(t *testing.T) {
 			if nilHooks.WantsTrainStep() {
@@ -91,21 +86,6 @@ func TestNilSafeEntryPoints(t *testing.T) {
 			}
 			h.Observe(0.5)
 		}},
-		{"Registry.Snapshot", func(t *testing.T) {
-			s := nilReg.Snapshot()
-			if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
-				t.Fatalf("nil registry Snapshot not empty: %+v", s)
-			}
-		}},
-		{"Registry.MarshalJSON", func(t *testing.T) {
-			buf, err := nilReg.MarshalJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(buf) != "{}" {
-				t.Fatalf("nil registry MarshalJSON = %s, want {}", buf)
-			}
-		}},
 		{"Registry.CounterVec", func(t *testing.T) {
 			v := nilReg.CounterVec("x", "l")
 			if v == nil {
@@ -131,13 +111,6 @@ func TestNilSafeEntryPoints(t *testing.T) {
 			var v *HistogramVec
 			v.With("a").Observe(1)
 		}},
-		{"EventLog", func(t *testing.T) {
-			var l *EventLog
-			l.Add("k", 1)
-			if l.Events() != nil || l.Total() != 0 {
-				t.Fatal("nil event log not empty")
-			}
-		}},
 		{"RateMeter", func(t *testing.T) {
 			var m *RateMeter
 			m.Add(1)
@@ -161,9 +134,13 @@ func TestNilSafeEntryPoints(t *testing.T) {
 			}
 		}},
 		{"Meta.SetAttrs", func(t *testing.T) { BuildMeta().SetAttrs(nilSpan) }},
-		{"PublishExpvar", func(t *testing.T) {
-			if PublishExpvar(nilReg) {
-				t.Fatal("nil registry claimed the expvar slot")
+		{"Session", func(t *testing.T) {
+			var s *Session
+			if s.Root() != nil {
+				t.Fatal("nil session has a trace root")
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("nil session Close = %v, want nil", err)
 			}
 		}},
 	}
@@ -189,15 +166,15 @@ func TestZeroValueRegistryUsable(t *testing.T) {
 	r.Gauge("b").Set(2.5)
 	r.Histogram("c", []float64{1, 10}).Observe(4)
 
-	s := r.Snapshot()
-	if s.Counters["a"] != 3 {
-		t.Errorf("counter a = %d, want 3", s.Counters["a"])
+	vals := scrape(t, &r)
+	if vals["a"] != 3 {
+		t.Errorf("counter a = %v, want 3", vals["a"])
 	}
-	if s.Gauges["b"] != 2.5 {
-		t.Errorf("gauge b = %v, want 2.5", s.Gauges["b"])
+	if vals["b"] != 2.5 {
+		t.Errorf("gauge b = %v, want 2.5", vals["b"])
 	}
-	if s.Histograms["c"].Count != 1 {
-		t.Errorf("histogram c count = %d, want 1", s.Histograms["c"].Count)
+	if vals["c_count"] != 1 {
+		t.Errorf("histogram c count = %v, want 1", vals["c_count"])
 	}
 
 	// Get-or-create returns the same instance on repeat lookups.

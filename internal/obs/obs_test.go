@@ -52,26 +52,83 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := h.Sum(); math.Abs(got-wantSum) > 1e-6*wantSum+1e-12 {
 		t.Fatalf("histogram sum = %v, want %v", got, wantSum)
 	}
-	snap := r.Snapshot()
-	if snap.Counters["hits"] != want || snap.Histograms["lat"].Count != want {
-		t.Fatalf("snapshot mismatch: %+v", snap)
+	vals := scrape(t, r)
+	if vals["hits"] != float64(want) || vals["lat_count"] != float64(want) {
+		t.Fatalf("exposition mismatch: hits=%v lat_count=%v", vals["hits"], vals["lat_count"])
 	}
 }
 
-// TestHistogramQuantiles checks bucket-interpolated quantiles against a
-// sorted reference sample: every estimate must land within one bucket
-// width of the exact quantile.
+// scrape renders r as Prometheus text, parses it back, and returns every
+// sample's value keyed by name and labels as exposed — name{k="v",...},
+// or the bare name when unlabeled. Histograms appear as their _bucket,
+// _sum and _count series.
+func scrape(t *testing.T, r *Registry) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParsePrometheus(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := map[string]float64{}
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			key := s.Name
+			if len(s.Labels) > 0 {
+				pairs := make([]string, len(s.Labels))
+				for i, l := range s.Labels {
+					pairs[i] = l.Name + `="` + l.Value + `"`
+				}
+				key += "{" + strings.Join(pairs, ",") + "}"
+			}
+			vals[key] = s.Value
+		}
+	}
+	return vals
+}
+
+// roundTripHistogram observes xs into a registered histogram over bounds,
+// then renders and parses the registry, returning the parsed series — the
+// path samreport reads quantiles from.
+func roundTripHistogram(t *testing.T, bounds []float64, xs ...float64) PromHistogram {
+	t.Helper()
+	r := NewRegistry()
+	h := r.Histogram("h", bounds)
+	for _, x := range xs {
+		h.Observe(x)
+	}
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParsePrometheus(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fams) != 1 {
+		t.Fatalf("parsed %d families, want 1", len(fams))
+	}
+	series, err := fams[0].Histograms()
+	if err != nil || len(series) != 1 {
+		t.Fatalf("histogram series %+v, err %v", series, err)
+	}
+	return series[0]
+}
+
+// TestHistogramQuantiles checks bucket-interpolated quantiles, read back
+// through a Prometheus round trip, against a sorted reference sample:
+// every estimate must land within one bucket width of the exact quantile.
 func TestHistogramQuantiles(t *testing.T) {
 	bounds := ExpBuckets(0.001, 1.5, 40)
-	h := NewHistogram(bounds)
 	// Log-uniform-ish deterministic sample.
 	var xs []float64
 	v := 0.0017
 	for i := 0; i < 5000; i++ {
-		x := math.Mod(v*float64(i+1), 3.0) + 0.002
-		xs = append(xs, x)
-		h.Observe(x)
+		xs = append(xs, math.Mod(v*float64(i+1), 3.0)+0.002)
 	}
+	h := roundTripHistogram(t, bounds, xs...)
 	sort.Float64s(xs)
 	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
 		got := h.Quantile(q)
@@ -91,17 +148,19 @@ func TestHistogramQuantiles(t *testing.T) {
 			t.Fatalf("q=%.2f: got %v, exact %v (bucket width %v)", q, got, exact, width)
 		}
 	}
-	if !math.IsNaN(NewHistogram(bounds).Quantile(0.5)) {
+	if !math.IsNaN(roundTripHistogram(t, bounds).Quantile(0.5)) {
 		t.Fatal("empty histogram quantile should be NaN")
 	}
 }
 
 // TestHistogramQuantileEdges pins the interpolation corner cases: an
 // empty histogram is NaN at every quantile, a single-bucket histogram
-// interpolates within the observed range, p0 reports the observed min,
-// p100 the observed max, and out-of-range q clamps to [0, 1].
+// interpolates across the bucket (from 0, the lowest bucket's lower
+// edge, to its bound), out-of-range q clamps to [0, 1], and mass above
+// the last bound reports that bound. The exposition carries no observed
+// min or max, so nothing narrows the estimate below bucket resolution.
 func TestHistogramQuantileEdges(t *testing.T) {
-	empty := NewHistogram([]float64{1, 2, 3})
+	empty := roundTripHistogram(t, []float64{1, 2, 3})
 	for _, q := range []float64{0, 0.5, 1} {
 		if !math.IsNaN(empty.Quantile(q)) {
 			t.Fatalf("empty Quantile(%v) = %v, want NaN", q, empty.Quantile(q))
@@ -110,49 +169,33 @@ func TestHistogramQuantileEdges(t *testing.T) {
 
 	// One bound → two buckets; keep all mass in the first so a single
 	// bucket holds every observation.
-	single := NewHistogram([]float64{10})
-	single.Observe(2)
-	single.Observe(4)
-	single.Observe(6)
-	if got := single.Quantile(0); got != 2 {
-		t.Fatalf("single-bucket p0 = %v, want observed min 2", got)
-	}
-	if got := single.Quantile(1); got != 6 {
-		t.Fatalf("single-bucket p100 = %v, want observed max 6", got)
-	}
-	if mid := single.Quantile(0.5); mid < 2 || mid > 6 {
-		t.Fatalf("single-bucket p50 = %v, want within [2, 6]", mid)
+	single := roundTripHistogram(t, []float64{10}, 2, 4, 6)
+	for _, c := range []struct{ q, want float64 }{
+		{0, 0}, {0.5, 5}, {1, 10},
+		{-3, 0}, {7, 10}, // q outside [0, 1] clamps instead of extrapolating
+	} {
+		if got := single.Quantile(c.q); got != c.want {
+			t.Fatalf("single-bucket Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
 	}
 
-	// q outside [0, 1] clamps instead of extrapolating.
-	if got := single.Quantile(-3); got != 2 {
-		t.Fatalf("Quantile(-3) = %v, want clamp to p0 = 2", got)
-	}
-	if got := single.Quantile(7); got != 6 {
-		t.Fatalf("Quantile(7) = %v, want clamp to p100 = 6", got)
-	}
-
-	// Overflow-only mass: everything above the last bound still reports
-	// quantiles clamped to the observed range.
-	over := NewHistogram([]float64{1})
-	over.Observe(50)
-	over.Observe(100)
-	if got := over.Quantile(1); got != 100 {
-		t.Fatalf("overflow p100 = %v, want 100", got)
-	}
-	if got := over.Quantile(0); got != 50 {
-		t.Fatalf("overflow p0 = %v, want 50", got)
+	// Overflow-only mass: everything above the last bound reports it.
+	over := roundTripHistogram(t, []float64{1}, 50, 100)
+	for _, q := range []float64{0, 1} {
+		if got := over.Quantile(q); got != 1 {
+			t.Fatalf("overflow Quantile(%v) = %v, want the last bound 1", q, got)
+		}
 	}
 }
 
 // TestHistogramMinMaxClamp pins the small-sample behaviour: a single
-// observation reports itself exactly at every quantile.
+// observation's quantiles are clamped to the edges of its bucket (10,
+// 100] and interpolated linearly between them.
 func TestHistogramMinMaxClamp(t *testing.T) {
-	h := NewHistogram(ExpBuckets(1, 10, 6))
-	h.Observe(33)
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := h.Quantile(q); math.Abs(got-33) > 1e-9 {
-			t.Fatalf("single-sample quantile(%v) = %v, want 33", q, got)
+	h := roundTripHistogram(t, ExpBuckets(1, 10, 6), 33)
+	for _, c := range []struct{ q, want float64 }{{0, 10}, {0.5, 55}, {1, 100}} {
+		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
+			t.Fatalf("single-sample Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
 }
@@ -205,10 +248,11 @@ func TestSpanNestingRoundTrip(t *testing.T) {
 	if v := byName["generate"].Attrs["tuples"]; v.(float64) != 123 {
 		t.Fatalf("tuples attr = %v", v)
 	}
-	sum := SummarizeRecords(recs)
-	for _, want := range []string{"run", "train", "epoch", "generate", "seed=42"} {
-		if !strings.Contains(sum, want) {
-			t.Fatalf("summary missing %q:\n%s", want, sum)
+	var tree strings.Builder
+	WriteTraceTree(&tree, AnalyzeTrace(recs))
+	for _, want := range []string{"run", "train", "epoch", "generate"} {
+		if !strings.Contains(tree.String(), want) {
+			t.Fatalf("trace tree missing %q:\n%s", want, tree.String())
 		}
 	}
 }
@@ -262,6 +306,29 @@ func TestMergeFansOut(t *testing.T) {
 	}
 }
 
+// TestMergeWantsOnlyListenedSignals pins that merging hooks sets a
+// callback only when some input sets it: merging a stream-pass listener
+// with an eval listener must not make sampling build a progress tracker
+// or training time every step for nobody.
+func TestMergeWantsOnlyListenedSignals(t *testing.T) {
+	var passes, queries int
+	h := Merge(&Hooks{OnStreamPass: func(StreamPass) { passes++ }},
+		nil, &Hooks{OnEvalQuery: func(EvalQuery) { queries++ }})
+	if h.WantsGenProgress() || h.WantsTrainStep() || h.WantsTrainEpoch() {
+		t.Fatalf("merged hooks want unheard signals: progress=%v step=%v epoch=%v",
+			h.WantsGenProgress(), h.WantsTrainStep(), h.WantsTrainEpoch())
+	}
+	if !h.WantsStreamPass() || h.OnEvalQuery == nil || h.OnGenPhase != nil {
+		t.Fatal("merged hooks lost or invented a listener")
+	}
+	h.StreamPass(StreamPass{})
+	h.EvalQuery(EvalQuery{})
+	h.TrainStep(TrainStep{})
+	if passes != 1 || queries != 1 {
+		t.Fatalf("delivery: passes=%d queries=%d", passes, queries)
+	}
+}
+
 // TestMetricsHooksFeedRegistry wires MetricsHooks and checks the registry
 // reflects emitted events.
 func TestMetricsHooksFeedRegistry(t *testing.T) {
@@ -272,54 +339,55 @@ func TestMetricsHooksFeedRegistry(t *testing.T) {
 	h.GenPhase(GenPhase{Phase: "merge", Table: "t", Tuples: 10, Groups: 4})
 	h.GenPhase(GenPhase{Phase: "weight", Table: "t", MassBefore: 7, MassAfter: 100})
 	h.EvalQuery(EvalQuery{Card: 10, Truth: 20, QError: 2, Wall: time.Millisecond})
-	snap := r.Snapshot()
-	if snap.Counters["train_epochs_total"] != 1 || snap.Counters["train_steps_total"] != 1 {
-		t.Fatalf("train counters: %+v", snap.Counters)
-	}
-	if snap.Gauges["train_loss"] != 0.5 || snap.Gauges["train_epochs_per_sec"] != 1 {
-		t.Fatalf("train gauges: %+v", snap.Gauges)
-	}
-	if snap.Counters[`gen_merge_groups_total{table="t"}`] != 4 {
-		t.Fatalf("gen counters: %+v", snap.Counters)
-	}
-	if snap.Counters[`gen_tuples_total{phase="merge"}`] != 10 {
-		t.Fatalf("gen counters: %+v", snap.Counters)
-	}
-	if snap.Gauges[`gen_weight_mass{table="t",stage="after"}`] != 100 {
-		t.Fatalf("gen gauges: %+v", snap.Gauges)
-	}
-	if snap.Histograms["eval_qerror"].Count != 1 {
-		t.Fatalf("eval histograms: %+v", snap.Histograms)
+	vals := scrape(t, r)
+	for key, want := range map[string]float64{
+		"train_epochs_total":                       1,
+		"train_steps_total":                        1,
+		"train_loss":                               0.5,
+		"train_epochs_per_sec":                     1,
+		`gen_merge_groups_total{table="t"}`:        4,
+		`gen_tuples_total{phase="merge"}`:          10,
+		`gen_weight_mass{table="t",stage="after"}`: 100,
+		"eval_qerror_count":                        1,
+	} {
+		if got, ok := vals[key]; !ok || got != want {
+			t.Fatalf("%s = %v (present %v), want %v", key, got, ok, want)
+		}
 	}
 	h.GenProgress(GenProgress{Phase: "sample", Done: 50, Total: 100, Rate: 123})
-	snap = r.Snapshot()
-	if snap.Gauges["gen_tuples_per_sec"] != 123 || snap.Gauges["gen_progress_ratio"] != 0.5 {
-		t.Fatalf("progress gauges: %+v", snap.Gauges)
+	vals = scrape(t, r)
+	if vals["gen_tuples_per_sec"] != 123 || vals["gen_progress_ratio"] != 0.5 {
+		t.Fatalf("progress gauges: rate=%v ratio=%v", vals["gen_tuples_per_sec"], vals["gen_progress_ratio"])
 	}
 }
 
-// TestServeDebug boots the debug server on an ephemeral port, fetches
-// every endpoint, validates the Prometheus exposition parses, and checks
-// the close function actually drains the server.
+// TestServeDebug boots the debug server on an ephemeral port, checks it
+// routes exactly /debug/pprof/* and /metrics, validates the Prometheus
+// exposition parses, and checks the close function actually drains the
+// server.
 func TestServeDebug(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("boot").Inc()
 	r.CounterVec("boot_labeled_total", "kind").With("a").Add(2)
-	ev := NewEventLog(8)
-	ev.Add("train_step", TrainStep{Step: 1})
-	addr, closeFn, err := ServeDebug("127.0.0.1:0", r, ev)
+	addr, closeFn, err := ServeDebug("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"/debug/vars", "/debug/pprof/", "/metrics", "/metrics.json", "/debug/events"} {
+	for path, want := range map[string]int{
+		"/debug/pprof/": http.StatusOK,
+		"/metrics":      http.StatusOK,
+		"/debug/vars":   http.StatusNotFound,
+		"/metrics.json": http.StatusNotFound,
+		"/debug/events": http.StatusNotFound,
+	} {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
 		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 
 	resp, err := http.Get("http://" + addr + "/metrics")
@@ -345,34 +413,5 @@ func TestServeDebug(t *testing.T) {
 	closeFn()
 	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Fatal("server still reachable after close")
-	}
-}
-
-// resetPublished clears the process-wide expvar slot so the publish test
-// is independent of which test claimed it first.
-func resetPublished() {
-	publishMu.Lock()
-	published = nil
-	publishMu.Unlock()
-}
-
-// TestPublishExpvar pins the single-registry-per-process contract: the
-// first non-nil registry claims the slot, later registries are refused,
-// and nil never claims it.
-func TestPublishExpvar(t *testing.T) {
-	resetPublished()
-	defer resetPublished()
-	if PublishExpvar(nil) {
-		t.Fatal("nil registry claimed the expvar slot")
-	}
-	first := NewRegistry()
-	if !PublishExpvar(first) {
-		t.Fatal("first registry refused")
-	}
-	if !PublishExpvar(first) {
-		t.Fatal("republishing the same registry refused")
-	}
-	if PublishExpvar(NewRegistry()) {
-		t.Fatal("second registry accepted")
 	}
 }

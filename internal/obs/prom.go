@@ -370,7 +370,7 @@ func ParsePrometheus(r io.Reader) ([]PromFamily, error) {
 	}
 	for i := range fams {
 		if fams[i].Type == "histogram" {
-			if err := checkPromHistogram(&fams[i]); err != nil {
+			if _, err := fams[i].Histograms(); err != nil {
 				return nil, err
 			}
 		}
@@ -546,79 +546,105 @@ func parsePromValue(s string) (float64, error) {
 	return v, nil
 }
 
-// checkPromHistogram validates one histogram family's shape per labeled
-// child: ascending le bounds, non-decreasing cumulative counts, a +Inf
-// bucket, and _count equal to that bucket.
-func checkPromHistogram(f *PromFamily) error {
-	type series struct {
-		cums    []float64
-		count   float64
-		hasCnt  bool
-		hasSum  bool
-		hasInf  bool
-		infCum  float64
-		lastLe  float64
-		started bool
-	}
-	bySeries := map[string]*series{}
-	get := func(s PromSample) *series {
+// PromHistogram is one labeled series of a parsed histogram family: its
+// labels (le excluded), the cumulative bucket counts by ascending upper
+// bound (the last bound is +Inf), and its _sum and _count.
+type PromHistogram struct {
+	Labels     []PromLabel
+	Bounds     []float64
+	Cum        []float64
+	Sum, Count float64
+}
+
+// Histograms splits a histogram family into its labeled series, in
+// first-seen order, validating each one's shape: ascending le bounds,
+// non-decreasing cumulative counts, a closing +Inf bucket, and _sum and
+// _count present with _count equal to the +Inf bucket.
+func (f *PromFamily) Histograms() ([]PromHistogram, error) {
+	var out []PromHistogram
+	var hasSum, hasCount []bool
+	index := map[string]int{}
+	for _, s := range f.Samples {
+		var labels []PromLabel
 		key := ""
 		for _, l := range s.Labels {
-			if l.Name == "le" {
-				continue
+			if l.Name != "le" {
+				labels = append(labels, l)
+				key += l.Name + "\xfe" + l.Value + "\xff"
 			}
-			key += l.Name + "\xfe" + l.Value + "\xff"
 		}
-		sr := bySeries[key]
-		if sr == nil {
-			sr = &series{}
-			bySeries[key] = sr
+		i, ok := index[key]
+		if !ok {
+			i = len(out)
+			index[key] = i
+			out = append(out, PromHistogram{Labels: labels})
+			hasSum, hasCount = append(hasSum, false), append(hasCount, false)
 		}
-		return sr
-	}
-	for _, s := range f.Samples {
+		h := &out[i]
 		switch s.Name {
 		case f.Name + "_bucket":
-			sr := get(s)
 			leStr := s.Label("le")
 			le, err := parsePromValue(leStr)
 			if err != nil {
-				return fmt.Errorf("obs: histogram %s: bad le %q", f.Name, leStr)
+				return nil, fmt.Errorf("obs: histogram %s: bad le %q", f.Name, leStr)
 			}
-			if math.IsInf(le, 1) {
-				sr.hasInf = true
-				sr.infCum = s.Value
-			} else {
-				if sr.started && le <= sr.lastLe {
-					return fmt.Errorf("obs: histogram %s: le bounds not ascending at %v", f.Name, le)
-				}
-				sr.started = true
-				sr.lastLe = le
+			if n := len(h.Bounds); n > 0 && le <= h.Bounds[n-1] {
+				return nil, fmt.Errorf("obs: histogram %s: le bounds not ascending at %v", f.Name, le)
 			}
-			if n := len(sr.cums); n > 0 && s.Value < sr.cums[n-1] {
-				return fmt.Errorf("obs: histogram %s: bucket counts not cumulative at le=%v", f.Name, le)
+			if n := len(h.Cum); n > 0 && s.Value < h.Cum[n-1] {
+				return nil, fmt.Errorf("obs: histogram %s: bucket counts not cumulative at le=%v", f.Name, le)
 			}
-			sr.cums = append(sr.cums, s.Value)
+			h.Bounds = append(h.Bounds, le)
+			h.Cum = append(h.Cum, s.Value)
 		case f.Name + "_sum":
-			get(s).hasSum = true
+			h.Sum, hasSum[i] = s.Value, true
 		case f.Name + "_count":
-			sr := get(s)
-			sr.hasCnt = true
-			sr.count = s.Value
+			h.Count, hasCount[i] = s.Value, true
 		case f.Name:
-			return fmt.Errorf("obs: histogram %s: bare sample without _bucket/_sum/_count suffix", f.Name)
+			return nil, fmt.Errorf("obs: histogram %s: bare sample without _bucket/_sum/_count suffix", f.Name)
 		}
 	}
-	for _, sr := range bySeries {
-		if !sr.hasInf {
-			return fmt.Errorf("obs: histogram %s: missing +Inf bucket", f.Name)
+	for i, h := range out {
+		n := len(h.Bounds)
+		if n == 0 || !math.IsInf(h.Bounds[n-1], 1) {
+			return nil, fmt.Errorf("obs: histogram %s: missing +Inf bucket", f.Name)
 		}
-		if !sr.hasSum || !sr.hasCnt {
-			return fmt.Errorf("obs: histogram %s: missing _sum or _count", f.Name)
+		if !hasSum[i] || !hasCount[i] {
+			return nil, fmt.Errorf("obs: histogram %s: missing _sum or _count", f.Name)
 		}
-		if sr.count != sr.infCum {
-			return fmt.Errorf("obs: histogram %s: _count %v != +Inf bucket %v", f.Name, sr.count, sr.infCum)
+		if h.Count != h.Cum[n-1] {
+			return nil, fmt.Errorf("obs: histogram %s: _count %v != +Inf bucket %v", f.Name, h.Count, h.Cum[n-1])
 		}
 	}
-	return nil
+	return out, nil
+}
+
+// Quantile estimates the q-quantile (q clamped to [0, 1]) the way
+// Prometheus's histogram_quantile does: it finds the first non-empty
+// bucket whose cumulative count reaches rank q·Count and interpolates
+// linearly between that bucket's edges. The lowest bucket starts at 0
+// (or at its own bound when that is ≤ 0), and a rank that lands in the
+// +Inf bucket reports the highest finite bound. The error is bounded by
+// the bucket width. An empty series is NaN.
+func (h PromHistogram) Quantile(q float64) float64 {
+	if h.Count <= 0 || len(h.Cum) == 0 {
+		return math.NaN()
+	}
+	q = math.Max(0, math.Min(1, q))
+	rank := q * h.Count
+	i := sort.Search(len(h.Cum), func(i int) bool { return h.Cum[i] > 0 && h.Cum[i] >= rank })
+	if i == len(h.Cum) {
+		return math.NaN() // a NaN q matches no bucket
+	}
+	if math.IsInf(h.Bounds[i], 1) {
+		if i == 0 {
+			return math.NaN() // no finite bound to report
+		}
+		return h.Bounds[i-1]
+	}
+	lo, prev := math.Min(0, h.Bounds[i]), 0.0
+	if i > 0 {
+		lo, prev = h.Bounds[i-1], h.Cum[i-1]
+	}
+	return lo + (h.Bounds[i]-lo)*(rank-prev)/(h.Cum[i]-prev)
 }

@@ -7,7 +7,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -63,8 +62,6 @@ type Histogram struct {
 	counts []atomic.Int64
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-updated
-	min    atomic.Uint64
-	max    atomic.Uint64
 }
 
 // NewHistogram builds a histogram over the given ascending bucket bounds.
@@ -74,13 +71,10 @@ func NewHistogram(bounds []float64) *Histogram {
 			panic(fmt.Sprintf("obs: histogram bounds not ascending at %d", i))
 		}
 	}
-	h := &Histogram{
+	return &Histogram{
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Int64, len(bounds)+1),
 	}
-	h.min.Store(math.Float64bits(math.Inf(1)))
-	h.max.Store(math.Float64bits(math.Inf(-1)))
-	return h
 }
 
 // ExpBuckets returns n ascending bounds starting at start, each factor
@@ -107,19 +101,7 @@ func (h *Histogram) Observe(v float64) {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
 		if h.sum.CompareAndSwap(old, next) {
-			break
-		}
-	}
-	for {
-		old := h.min.Load()
-		if v >= math.Float64frombits(old) || h.min.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	for {
-		old := h.max.Load()
-		if v <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(v)) {
-			break
+			return
 		}
 	}
 }
@@ -130,91 +112,12 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the total of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Mean returns the average observation, or 0 with no data.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
-// Quantile returns the approximate q-quantile (0 ≤ q ≤ 1) by linear
-// interpolation inside the containing bucket. The error is bounded by the
-// bucket width; observed min/max clamp the extreme buckets so small samples
-// are not smeared across a whole bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(n)
-	lo := math.Float64frombits(h.min.Load())
-	hi := math.Float64frombits(h.max.Load())
-	var cum float64
-	for i := range h.counts {
-		c := float64(h.counts[i].Load())
-		if c == 0 {
-			continue
-		}
-		if cum+c >= rank {
-			// Bucket span, clamped to the observed range.
-			bLo := lo
-			if i > 0 && h.bounds[i-1] > bLo {
-				bLo = h.bounds[i-1]
-			}
-			bHi := hi
-			if i < len(h.bounds) && h.bounds[i] < bHi {
-				bHi = h.bounds[i]
-			}
-			if bHi < bLo {
-				bHi = bLo
-			}
-			frac := (rank - cum) / c
-			return bLo + frac*(bHi-bLo)
-		}
-		cum += c
-	}
-	return hi
-}
-
-// HistogramSnapshot is the JSON view of a histogram.
-type HistogramSnapshot struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Mean  float64 `json:"mean"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-// Snapshot summarizes the histogram.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.Count(), Sum: h.Sum(), Mean: h.Mean()}
-	if s.Count > 0 {
-		s.Min = math.Float64frombits(h.min.Load())
-		s.Max = math.Float64frombits(h.max.Load())
-		s.P50 = h.Quantile(0.50)
-		s.P90 = h.Quantile(0.90)
-		s.P99 = h.Quantile(0.99)
-	}
-	return s
-}
-
 // Registry is a concurrent, get-or-create collection of named metrics.
 // Like the rest of the obs layer it follows the nil-observer contract: on
 // a nil *Registry the getters return detached metrics (recorded values go
-// nowhere), Snapshot is empty, and nothing panics — so instrumented code
-// needs no metrics-enabled branch. The zero value is also usable; maps
-// are allocated on first registration.
+// nowhere), exposition writes nothing, and nothing panics — so
+// instrumented code needs no metrics-enabled branch. The zero value is
+// also usable; maps are allocated on first registration.
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
@@ -222,8 +125,7 @@ type Registry struct {
 	histograms map[string]*Histogram
 
 	// Labeled families (see labels.go). Kept separate from the plain maps
-	// so exposition can render structured labels; the flat Snapshot view
-	// folds children in under rendered name{label="value"} keys.
+	// so exposition can render structured labels.
 	counterVecs   map[string]*CounterVec
 	gaugeVecs     map[string]*GaugeVec
 	histogramVecs map[string]*HistogramVec
@@ -315,60 +217,3 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	}
 	return h
 }
-
-// Snapshot is the JSON view of a whole registry.
-type Snapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-}
-
-// Snapshot captures every metric's current value, labeled children
-// included (folded in under rendered name{label="value"} keys). A nil
-// registry snapshots as empty.
-func (r *Registry) Snapshot() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
-	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.histograms {
-		s.Histograms[name] = h.Snapshot()
-	}
-	for _, v := range r.counterVecs {
-		v.mu.RLock()
-		for key, c := range v.children {
-			s.Counters[renderLabels(v.name, v.labels, v.tuples[key].values)] = c.Value()
-		}
-		v.mu.RUnlock()
-	}
-	for _, v := range r.gaugeVecs {
-		v.mu.RLock()
-		for key, g := range v.children {
-			s.Gauges[renderLabels(v.name, v.labels, v.tuples[key].values)] = g.Value()
-		}
-		v.mu.RUnlock()
-	}
-	for _, v := range r.histogramVecs {
-		v.mu.RLock()
-		for key, h := range v.children {
-			s.Histograms[renderLabels(v.name, v.labels, v.tuples[key].values)] = h.Snapshot()
-		}
-		v.mu.RUnlock()
-	}
-	return s
-}
-
-// MarshalJSON renders the live registry (so it can be published to expvar).
-func (r *Registry) MarshalJSON() ([]byte, error) { return json.Marshal(r.Snapshot()) }

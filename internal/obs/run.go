@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,9 +17,9 @@ import (
 
 // A RunID is the correlation key of one pipeline invocation: the CLIs
 // generate one per run and stamp it into the trace root ("run_id" attr),
-// the event ring, the Prometheus run-info family, the JSONL run log, and
-// the benchmark reports, so artifacts from the same run can be joined
-// offline (cmd/samreport does exactly that).
+// the Prometheus run-info family, the JSONL run log, and the benchmark
+// reports, so artifacts from the same run can be joined offline
+// (cmd/samreport does exactly that).
 
 // runSalt breaks ties between IDs minted by the same process when the
 // entropy source is unavailable.
@@ -70,43 +69,10 @@ func RunIDFromFamilies(fams []PromFamily) string {
 	return ""
 }
 
-// RunIDFromSnapshot extracts the run ID a registry JSON snapshot was
-// stamped with: the run_id label inside the sam_run_info gauge's flat
-// key (`sam_run_info{run_id="…",…}`, run_id rendered first per the label
-// schema). Label-value escapes (\\, \", \n) are undone. Empty when the
-// family is absent.
-func RunIDFromSnapshot(s Snapshot) string {
-	prefix := RunInfoMetric + `{run_id="`
-	for key := range s.Gauges {
-		rest, ok := strings.CutPrefix(key, prefix)
-		if !ok {
-			continue
-		}
-		var sb strings.Builder
-		for i := 0; i < len(rest); i++ {
-			switch c := rest[i]; c {
-			case '\\':
-				if i+1 < len(rest) {
-					i++
-					if rest[i] == 'n' {
-						sb.WriteByte('\n')
-					} else {
-						sb.WriteByte(rest[i])
-					}
-				}
-			case '"':
-				return sb.String()
-			default:
-				sb.WriteByte(c)
-			}
-		}
-	}
-	return ""
-}
-
 // RunLogEntry is one line of the structured JSONL run log: an absolute
-// timestamp, the owning run's ID, a kind tag matching the event-ring
-// vocabulary (plus "run_start"/"run_end" framing), and the event payload.
+// timestamp, the owning run's ID, a kind tag naming the event
+// (train_epoch, train_step, gen_phase, gen_progress, stream_pass,
+// eval_query, plus "run_start"/"run_end" framing), and the event payload.
 type RunLogEntry struct {
 	Time  time.Time       `json:"time"`
 	RunID string          `json:"run_id"`
@@ -191,9 +157,10 @@ func (l *RunLog) Close() error {
 }
 
 // RunLogHooks returns hooks that append every pipeline event to the run
-// log under the same kind vocabulary as the event ring. Like the ring,
-// this is offline tooling: payloads are boxed and marshaled per event, so
-// attach it only where the allocation-free contract doesn't apply.
+// log, one line per event. The run log is the one event store: follow it
+// live with `tail -f`. This is offline tooling: payloads are boxed and
+// marshaled per event, so attach it only where the allocation-free
+// contract doesn't apply.
 func RunLogHooks(l *RunLog) *Hooks {
 	return &Hooks{
 		OnTrainEpoch:  func(e TrainEpoch) { l.Log("train_epoch", e) },

@@ -123,18 +123,25 @@ func TestRunLogNilSafe(t *testing.T) {
 }
 
 // TestStampRunInfo checks the identity family end to end: stamped into a
-// registry, visible in the JSON snapshot (including label-value escapes),
-// rendered to Prometheus text, and recovered by both extractors.
+// registry, rendered to Prometheus text (including label-value escapes),
+// and recovered from the parsed families.
 func TestStampRunInfo(t *testing.T) {
+	runIDOf := func(r *Registry) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := WritePrometheus(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+		fams, err := ParsePrometheus(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RunIDFromFamilies(fams)
+	}
+
 	r := NewRegistry()
 	id := NewRunID()
 	StampRunInfo(r, id, BuildMeta())
-
-	snap := r.Snapshot()
-	if got := RunIDFromSnapshot(snap); got != id {
-		t.Fatalf("RunIDFromSnapshot = %q, want %q", got, id)
-	}
-
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, r); err != nil {
 		t.Fatal(err)
@@ -142,28 +149,24 @@ func TestStampRunInfo(t *testing.T) {
 	if !strings.Contains(buf.String(), RunInfoMetric+`{run_id="`+id+`"`) {
 		t.Fatalf("exposition missing the run-info family:\n%s", buf.String())
 	}
-	fams, err := ParsePrometheus(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := RunIDFromFamilies(fams); got != id {
+	if got := runIDOf(r); got != id {
 		t.Fatalf("RunIDFromFamilies = %q, want %q", got, id)
 	}
 	if RunIDFromFamilies(nil) != "" {
 		t.Fatal("RunIDFromFamilies(nil) nonempty")
 	}
 
-	// Escaped label values must survive the snapshot extractor too.
+	// Escaped label values must survive the round trip too.
 	r2 := NewRegistry()
 	weird := "id\"with\\escapes\nnewline"
 	StampRunInfo(r2, weird, Meta{})
-	if got := RunIDFromSnapshot(r2.Snapshot()); got != weird {
-		t.Fatalf("escaped RunIDFromSnapshot = %q, want %q", got, weird)
+	if got := runIDOf(r2); got != weird {
+		t.Fatalf("escaped RunIDFromFamilies = %q, want %q", got, weird)
 	}
 
 	// Nil-registry stamping must not panic (detached-vector contract).
 	StampRunInfo(nil, id, Meta{})
-	if got := RunIDFromSnapshot(Snapshot{}); got != "" {
-		t.Fatalf("empty snapshot yielded run ID %q", got)
+	if got := runIDOf(NewRegistry()); got != "" {
+		t.Fatalf("unstamped registry yielded run ID %q", got)
 	}
 }

@@ -1,13 +1,13 @@
 // Package report fuses the artifacts one SAM run leaves behind — a phase
-// trace, a metrics snapshot or Prometheus scrape, a structured run log,
-// and the benchmark reports — into a single self-contained document.
+// trace, a Prometheus text metrics file (-metrics-out or a /metrics
+// scrape), a structured run log, and the benchmark reports — into a
+// single self-contained document.
 // Inputs are joined by the run ID each artifact was stamped with
 // (obs.NewRunID; see cmd/samgen and cmd/sambench), so a report cannot
 // silently mix artifacts from different runs.
 package report
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -24,7 +24,7 @@ import (
 type Inputs struct {
 	TracePath    string // JSONL span trace (samgen/sambench -trace)
 	BaselinePath string // second trace to diff the first against
-	MetricsPath  string // /metrics.json snapshot OR Prometheus text scrape
+	MetricsPath  string // Prometheus text (-metrics-out or a /metrics scrape)
 	RunLogPath   string // JSONL run log (-runlog)
 	ScalePath    string // BENCH_scale.json (sambench -scalebench)
 	TensorPath   string // BENCH_tensor.json (sambench -tensorbench)
@@ -104,29 +104,18 @@ func Build(in Inputs) (*Report, error) {
 		r.Sources = append(r.Sources, Source{Kind: "baseline", Path: in.BaselinePath})
 	}
 
-	var snap *obs.Snapshot
 	var fams []obs.PromFamily
 	if in.MetricsPath != "" {
-		buf, err := os.ReadFile(in.MetricsPath)
+		f, err := os.Open(in.MetricsPath)
 		if err != nil {
 			return nil, err
 		}
-		id := ""
-		if isJSONSnapshot(buf) {
-			var s obs.Snapshot
-			if err := json.Unmarshal(buf, &s); err != nil {
-				return nil, fmt.Errorf("report: %s: %w", in.MetricsPath, err)
-			}
-			snap = &s
-			id = obs.RunIDFromSnapshot(s)
-		} else {
-			fams, err = obs.ParsePrometheus(bytes.NewReader(buf))
-			if err != nil {
-				return nil, fmt.Errorf("report: %s: %w", in.MetricsPath, err)
-			}
-			id = obs.RunIDFromFamilies(fams)
+		fams, err = obs.ParsePrometheus(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("report: %s: %w", in.MetricsPath, err)
 		}
-		r.Sources = append(r.Sources, Source{Kind: "metrics", Path: in.MetricsPath, RunID: id})
+		r.Sources = append(r.Sources, Source{Kind: "metrics", Path: in.MetricsPath, RunID: obs.RunIDFromFamilies(fams)})
 	}
 
 	var entries []obs.RunLogEntry
@@ -169,7 +158,7 @@ func Build(in Inputs) (*Report, error) {
 	if baseStats != nil {
 		r.Sections = append(r.Sections, diffSection(baseStats, traceStats, top))
 	}
-	if s := qerrorSection(entries, snap, fams); s != nil {
+	if s := qerrorSection(entries, fams); s != nil {
 		r.Sections = append(r.Sections, *s)
 	}
 	if s := streamSection(entries); s != nil {
@@ -181,9 +170,7 @@ func Build(in Inputs) (*Report, error) {
 	if tensor != nil {
 		r.Sections = append(r.Sections, tensorSection(tensor))
 	}
-	if snap != nil {
-		r.Sections = append(r.Sections, snapshotSection(snap))
-	} else if fams != nil {
+	if fams != nil {
 		r.Sections = append(r.Sections, familiesSection(fams))
 	}
 	return r, nil
@@ -260,13 +247,6 @@ func readJSON(path string, v any) error {
 	return nil
 }
 
-// isJSONSnapshot distinguishes a /metrics.json payload from Prometheus
-// text by the first non-space byte.
-func isJSONSnapshot(buf []byte) bool {
-	trimmed := bytes.TrimLeft(buf, " \t\r\n")
-	return len(trimmed) > 0 && trimmed[0] == '{'
-}
-
 func sourcesSection(r *Report) Section {
 	t := &Table{Header: []string{"kind", "path", "run id"}}
 	for _, s := range r.Sources {
@@ -315,9 +295,9 @@ func diffSection(base, cur []obs.PathStat, top int) Section {
 
 // qerrorSection summarizes evaluation fidelity. The run log's eval_query
 // entries give exact per-query values (quantiles computed here); absent a
-// run log, the metrics snapshot's eval_qerror_by_* histogram summaries
-// stand in.
-func qerrorSection(entries []obs.RunLogEntry, snap *obs.Snapshot, fams []obs.PromFamily) *Section {
+// run log, the metrics file's eval_qerror* histograms stand in, with
+// quantiles interpolated from their buckets.
+func qerrorSection(entries []obs.RunLogEntry, fams []obs.PromFamily) *Section {
 	var qs []obs.EvalQuery
 	for _, e := range entries {
 		if e.Kind != "eval_query" {
@@ -344,25 +324,10 @@ func qerrorSection(entries []obs.RunLogEntry, snap *obs.Snapshot, fams []obs.Pro
 		}
 	}
 	// Fall back to the labeled histogram families.
-	t := &Table{Header: []string{"family", "count", "mean", "p50", "p90", "p99", "max"}}
-	if snap != nil {
-		keys := sortedKeys(snap.Histograms)
-		for _, k := range keys {
-			if !strings.HasPrefix(k, "eval_qerror") {
-				continue
-			}
-			h := snap.Histograms[k]
-			t.Rows = append(t.Rows, []string{k, fmt.Sprint(h.Count),
-				fmtF(h.Mean), fmtF(h.P50), fmtF(h.P90), fmtF(h.P99), fmtF(h.Max)})
-		}
-	} else {
-		for _, fam := range fams {
-			if !strings.HasPrefix(fam.Name, "eval_qerror") || fam.Type != "histogram" {
-				continue
-			}
-			for _, row := range famHistRows(fam) {
-				t.Rows = append(t.Rows, row)
-			}
+	t := &Table{Header: []string{"family", "count", "mean", "p50", "p90", "p99"}}
+	for _, fam := range fams {
+		if strings.HasPrefix(fam.Name, "eval_qerror") && fam.Type == "histogram" {
+			t.Rows = append(t.Rows, famHistRows(fam)...)
 		}
 	}
 	if len(t.Rows) == 0 {
@@ -422,50 +387,28 @@ func qerrorRow(label string, qs []obs.EvalQuery) []string {
 		fmtF(quant(0.5)), fmtF(quant(0.9)), fmtF(vals[len(vals)-1])}
 }
 
-// famHistRows summarizes one parsed Prometheus histogram family as
-// count/mean rows (quantiles are not recoverable from buckets exactly, so
-// they are omitted in scrape-driven reports).
+// famHistRows summarizes one parsed Prometheus histogram family, one row
+// per labeled series: count, mean, and bucket-interpolated quantiles.
 func famHistRows(fam obs.PromFamily) [][]string {
-	type agg struct {
-		sum   float64
-		count float64
-	}
-	byLabels := map[string]*agg{}
-	var order []string
-	for _, s := range fam.Samples {
-		var lbls []string
-		for _, l := range s.Labels {
-			if l.Name == "le" {
-				continue
-			}
-			lbls = append(lbls, l.Name+"="+l.Value)
-		}
-		key := strings.Join(lbls, ",")
-		a := byLabels[key]
-		if a == nil {
-			a = &agg{}
-			byLabels[key] = a
-			order = append(order, key)
-		}
-		switch {
-		case strings.HasSuffix(s.Name, "_sum"):
-			a.sum = s.Value
-		case strings.HasSuffix(s.Name, "_count"):
-			a.count = s.Value
-		}
+	series, err := fam.Histograms()
+	if err != nil {
+		return nil // unreachable: ParsePrometheus validated the family
 	}
 	var out [][]string
-	for _, key := range order {
-		a := byLabels[key]
-		if a.count == 0 {
+	for _, h := range series {
+		if h.Count == 0 {
 			continue
 		}
 		name := fam.Name
-		if key != "" {
-			name += "{" + key + "}"
+		if len(h.Labels) > 0 {
+			lbls := make([]string, len(h.Labels))
+			for i, l := range h.Labels {
+				lbls[i] = l.Name + "=" + l.Value
+			}
+			name += "{" + strings.Join(lbls, ",") + "}"
 		}
-		out = append(out, []string{name, fmt.Sprint(int64(a.count)),
-			fmtF(a.sum / a.count), "-", "-", "-", "-"})
+		out = append(out, []string{name, fmt.Sprint(int64(h.Count)), fmtF(h.Sum / h.Count),
+			fmtF(h.Quantile(0.5)), fmtF(h.Quantile(0.9)), fmtF(h.Quantile(0.99))})
 	}
 	return out
 }
@@ -555,35 +498,6 @@ func tensorSection(rep *experiments.TensorBenchReport) Section {
 			fmt.Sprintf("%.2fx", res.Speedup), fmt.Sprint(res.AllocsOp), fmt.Sprint(res.BytesOp)})
 	}
 	return Section{Title: "Tensor benchmarks", Text: []string{rep.Description}, Table: t}
-}
-
-func snapshotSection(snap *obs.Snapshot) Section {
-	var sb strings.Builder
-	if len(snap.Counters) > 0 {
-		sb.WriteString("counters:\n")
-		for _, k := range sortedKeys(snap.Counters) {
-			fmt.Fprintf(&sb, "  %-56s %d\n", k, snap.Counters[k])
-		}
-	}
-	if len(snap.Gauges) > 0 {
-		sb.WriteString("gauges:\n")
-		for _, k := range sortedKeys(snap.Gauges) {
-			fmt.Fprintf(&sb, "  %-56s %g\n", k, snap.Gauges[k])
-		}
-	}
-	if len(snap.Histograms) > 0 {
-		sb.WriteString("histograms:                                                   count       mean        p50        p90        p99        max\n")
-		for _, k := range sortedKeys(snap.Histograms) {
-			h := snap.Histograms[k]
-			fmt.Fprintf(&sb, "  %-56s %7d %10.4g %10.4g %10.4g %10.4g %10.4g\n",
-				k, h.Count, h.Mean, h.P50, h.P90, h.P99, h.Max)
-		}
-	}
-	return Section{
-		Title: "Metrics",
-		Text:  []string{"Full registry snapshot (labeled children folded in as name{label=\"value\"})."},
-		Pre:   sb.String(),
-	}
 }
 
 func familiesSection(fams []obs.PromFamily) Section {

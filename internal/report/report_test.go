@@ -67,9 +67,8 @@ func writeRunLog(t *testing.T, dir, runID string) string {
 	return path
 }
 
-// writeMetrics renders a stamped registry as either a JSON snapshot or
-// Prometheus text.
-func writeMetrics(t *testing.T, dir, name, runID string, asJSON bool) string {
+// writeMetrics renders a stamped registry as Prometheus text.
+func writeMetrics(t *testing.T, dir, runID string) string {
 	t.Helper()
 	r := obs.NewRegistry()
 	obs.StampRunInfo(r, runID, obs.BuildMeta())
@@ -79,15 +78,10 @@ func writeMetrics(t *testing.T, dir, name, runID string, asJSON bool) string {
 	h.Observe(3)
 
 	var buf bytes.Buffer
-	if asJSON {
-		enc := json.NewEncoder(&buf)
-		if err := enc.Encode(r.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-	} else if err := obs.WritePrometheus(&buf, r); err != nil {
+	if err := obs.WritePrometheus(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, name)
+	path := filepath.Join(dir, "metrics.prom")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +121,7 @@ func writeScale(t *testing.T, dir, runID string) string {
 }
 
 // TestBuildJoinsMatchingArtifacts fuses a trace, run log, metrics
-// snapshot, and scale report all stamped with one run ID and checks the
+// file, and scale report all stamped with one run ID and checks the
 // join key, sections, and both renderers.
 func TestBuildJoinsMatchingArtifacts(t *testing.T) {
 	dir := t.TempDir()
@@ -135,7 +129,7 @@ func TestBuildJoinsMatchingArtifacts(t *testing.T) {
 	rep, err := Build(Inputs{
 		TracePath:   writeTrace(t, dir, "run.jsonl", id),
 		RunLogPath:  writeRunLog(t, dir, id),
-		MetricsPath: writeMetrics(t, dir, "metrics.json", id, true),
+		MetricsPath: writeMetrics(t, dir, id),
 		ScalePath:   writeScale(t, dir, id),
 	})
 	if err != nil {
@@ -246,12 +240,13 @@ func TestBuildBaselineExemptFromJoin(t *testing.T) {
 	}
 }
 
-// TestBuildPrometheusMetrics exercises the text-scrape input path: run ID
-// recovery via the parsed families and the qerror fallback rows.
+// TestBuildPrometheusMetrics exercises the metrics input path: run ID
+// recovery via the parsed families and the qerror fallback rows, whose
+// quantiles are interpolated from the eval_qerror buckets.
 func TestBuildPrometheusMetrics(t *testing.T) {
 	dir := t.TempDir()
 	id := obs.NewRunID()
-	rep, err := Build(Inputs{MetricsPath: writeMetrics(t, dir, "metrics.prom", id, false)})
+	rep, err := Build(Inputs{MetricsPath: writeMetrics(t, dir, id)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,6 +259,18 @@ func TestBuildPrometheusMetrics(t *testing.T) {
 	}
 	if !strings.Contains(md.String(), "eval_qerror") {
 		t.Fatalf("scrape-driven report missing the qerror fallback:\n%s", md.String())
+	}
+	// Observations 1 and 3 over buckets {1, 2, 4}: count 2, mean 2, and
+	// p50/p90/p99 interpolated inside (0, 1] and (2, 4].
+	var rows [][]string
+	for _, s := range rep.Sections {
+		if s.Title == "Q-Error" {
+			rows = s.Table.Rows
+		}
+	}
+	want := []string{"eval_qerror", "2", "2", "1", "3.6", "3.96"}
+	if len(rows) != 1 || strings.Join(rows[0], "|") != strings.Join(want, "|") {
+		t.Fatalf("qerror fallback rows = %q, want [%q]", rows, want)
 	}
 }
 

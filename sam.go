@@ -98,9 +98,6 @@ type (
 	GenProgress = obs.GenProgress
 	// EvalQuery is the per-query evaluation telemetry event.
 	EvalQuery = obs.EvalQuery
-	// EventLog is a fixed-capacity ring of recent pipeline events, served
-	// at /debug/events by ServeDebug.
-	EventLog = obs.EventLog
 	// Trace is a per-run tree of phase spans (wall time + allocation
 	// deltas), serializable as JSONL.
 	Trace = obs.Trace
@@ -237,7 +234,7 @@ func GenerateQueries(seed int64, s *Schema, n int, opts WorkloadOptions) []Query
 
 // NewTrace starts a run trace whose Root span can be handed to
 // TrainConfig.Span and GenOptions.Span; after Root().End(), WriteJSONL
-// serializes the phase tree and Summary renders it for humans.
+// serializes the phase tree (cmd/samtrace renders it for humans).
 func NewTrace(name string) *Trace { return obs.NewTrace(name) }
 
 // NewRegistry returns an empty metrics registry.
@@ -253,24 +250,15 @@ func MetricsHooks(r *Registry) *Hooks { return obs.MetricsHooks(r) }
 // generation phases, and batches of evaluated queries) to w.
 func ProgressHooks(w io.Writer) *Hooks { return obs.ProgressHooks(w) }
 
-// MergeHooks fans every event out to all given hooks (nils are skipped).
+// MergeHooks fans every event out to all given hooks (nils are skipped);
+// the merged hooks want only the signals some input listens for.
 func MergeHooks(hooks ...*Hooks) *Hooks { return obs.Merge(hooks...) }
 
-// NewEventLog returns a ring buffer of the last capacity pipeline events;
-// pass it to ServeDebug to expose /debug/events and feed it with
-// EventLogHooks.
-func NewEventLog(capacity int) *EventLog { return obs.NewEventLog(capacity) }
-
-// EventLogHooks returns hooks that append every pipeline event to the ring.
-func EventLogHooks(l *EventLog) *Hooks { return obs.EventLogHooks(l) }
-
-// ServeDebug starts an HTTP server exposing /debug/pprof, /debug/vars
-// (expvar), /metrics (Prometheus text format), /metrics.json (the registry
-// snapshot as JSON), and — when ev is non-nil — /debug/events on addr. It
-// returns the bound address (useful with ":0") and a close function that
-// drains the server.
-func ServeDebug(addr string, r *Registry, ev *EventLog) (string, func(), error) {
-	return obs.ServeDebug(addr, r, ev)
+// ServeDebug starts an HTTP server exposing /debug/pprof and /metrics
+// (the registry in Prometheus text format) on addr. It returns the bound
+// address (useful with ":0") and a close function that drains the server.
+func ServeDebug(addr string, r *Registry) (string, func(), error) {
+	return obs.ServeDebug(addr, r)
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition
