@@ -89,7 +89,7 @@ bench-gate:
 		-baseline BENCH_tensor.json \
 		-current /tmp/bench_current.json \
 		-tol 1.0 \
-		-min sample_batched=6,sample_batched_workers=4
+		-min sample_batched=6,sample_batched_workers=4,train_step_dps=2
 
 ## scale-bench measures sharded streaming generation end to end at
 ## SCALE_ROWS rows and writes the report to SCALE_OUT; refresh the

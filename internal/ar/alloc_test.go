@@ -15,31 +15,23 @@ import (
 )
 
 // buildTrainerFixture compiles a small single-relation workload into a
-// ready trainer with the given worker count.
+// ready trainer with the given worker count. Five columns under two
+// hidden layers of 16 units give four hidden degrees of four units each,
+// so every step of the progressive chain computes a nonempty degree slice.
 func buildTrainerFixture(t *testing.T, workers int) (*trainer, []int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	s := twoColTable(rng, 300)
+	s := multiColTable(rng, 300, 4, 6, 3, 8, 5)
 	l := join.NewLayout(s)
 	queries := workload.GenerateSingleRelation(rng, s.Tables[0], 32, workload.DefaultSingleRelationOptions())
 	wl := &workload.Workload{Queries: engine.Label(s, queries)}
 
 	cfg := DefaultTrainConfig()
 	cfg.Model.Hidden = 16
+	cfg.Model.HiddenLayers = 2
 	cfg.BatchSize = 16
-	pop := float64(s.Tables[0].NumRows())
-	m := NewModel(l, wl.Queries, pop, cfg.Model)
-	var specs []*Spec
-	var targets []float64
-	for qi := range wl.Queries {
-		spec, err := m.Compile(&wl.Queries[qi].Query)
-		if err != nil {
-			continue
-		}
-		card := math.Max(float64(wl.Queries[qi].Card), 1)
-		specs = append(specs, spec)
-		targets = append(targets, math.Log(card/pop))
-	}
+	m := NewModel(l, wl.Queries, float64(s.Tables[0].NumRows()), cfg.Model)
+	specs, targets, _ := compileWorkload(m, wl)
 	if len(specs) < cfg.BatchSize {
 		t.Fatalf("fixture compiled only %d specs", len(specs))
 	}

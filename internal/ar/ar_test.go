@@ -1,6 +1,7 @@
 package ar
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -127,6 +128,49 @@ func twoColTable(rng *rand.Rand, rows int) *relation.Schema {
 		}
 	}
 	return relation.MustSchema(relation.NewTable("t", c1, c2))
+}
+
+// multiColTable builds a single-relation schema with one categorical
+// column per domain size, each column tracking the previous one.
+func multiColTable(rng *rand.Rand, rows int, domains ...int) *relation.Schema {
+	cols := make([]*relation.Column, len(domains))
+	for c, d := range domains {
+		cols[c] = relation.NewColumn(fmt.Sprintf("c%d", c), relation.Categorical, d)
+	}
+	for i := 0; i < rows; i++ {
+		v := rng.Intn(domains[0])
+		for c, d := range domains {
+			if c > 0 && rng.Float64() < 0.3 {
+				v = rng.Intn(d)
+			}
+			cols[c].Append(int32(v % d))
+		}
+	}
+	return relation.MustSchema(relation.NewTable("t", cols...))
+}
+
+// twoTableJoin builds a parent–child schema whose child column tracks the
+// parent's, so the layout carries a fanout column that join queries
+// downweight.
+func twoTableJoin(rng *rand.Rand, parents, children int) *relation.Schema {
+	aCol := relation.NewColumn("a", relation.Categorical, 3)
+	a := relation.NewTable("A", aCol)
+	bCol := relation.NewColumn("b", relation.Categorical, 3)
+	b := relation.NewTable("B", bCol)
+	b.Parent = "A"
+	for i := 0; i < parents; i++ {
+		aCol.Append(int32(rng.Intn(3)))
+	}
+	for i := 0; i < children; i++ {
+		parent := rng.Intn(parents)
+		v := aCol.Data[parent]
+		if rng.Float64() < 0.3 {
+			v = int32(rng.Intn(3))
+		}
+		bCol.Append(v)
+		b.FK = append(b.FK, int64(parent))
+	}
+	return relation.MustSchema(a, b)
 }
 
 func TestCompileSpec(t *testing.T) {
@@ -299,25 +343,7 @@ func TestTrainedJoinModelEstimates(t *testing.T) {
 	// End-to-end on a 2-table schema: train on labeled join+single queries,
 	// check median Q-Error on the training set is sane.
 	rng := rand.New(rand.NewSource(10))
-	aCol := relation.NewColumn("a", relation.Categorical, 3)
-	a := relation.NewTable("A", aCol)
-	bCol := relation.NewColumn("b", relation.Categorical, 3)
-	b := relation.NewTable("B", bCol)
-	b.Parent = "A"
-	for i := 0; i < 60; i++ {
-		aCol.Append(int32(rng.Intn(3)))
-	}
-	for i := 0; i < 150; i++ {
-		parent := rng.Intn(60)
-		// b correlates with parent's a
-		v := aCol.Data[parent]
-		if rng.Float64() < 0.3 {
-			v = int32(rng.Intn(3))
-		}
-		bCol.Append(v)
-		b.FK = append(b.FK, int64(parent))
-	}
-	s := relation.MustSchema(a, b)
+	s := twoTableJoin(rng, 60, 150)
 	l := join.NewLayout(s)
 	queries := workload.GenerateMultiRelation(rng, s, 60, workload.DefaultMultiRelationOptions())
 	wl := &workload.Workload{Queries: engine.Label(s, queries)}

@@ -114,17 +114,42 @@ func buildBackbone(cfg Config, colSizes []int) nn.Backbone {
 	case "", "made":
 		return nn.NewMADE(rng, colSizes, cfg.Hidden, cfg.HiddenLayers)
 	case "transformer":
-		dModel, heads := cfg.DModel, cfg.Heads
-		if dModel <= 0 {
-			dModel = 32
-		}
-		if heads <= 0 {
-			heads = 2
-		}
+		dModel, heads := cfg.transformerShape()
 		return nn.NewTransformer(rng, colSizes, dModel, heads, cfg.Hidden, cfg.HiddenLayers)
 	default:
 		panic(fmt.Sprintf("ar: unknown architecture %q", cfg.Arch))
 	}
+}
+
+// transformerShape returns the transformer's model width and head count;
+// nonpositive fields take the defaults 32 and 2.
+func (cfg Config) transformerShape() (dModel, heads int) {
+	dModel, heads = cfg.DModel, cfg.Heads
+	if dModel <= 0 {
+		dModel = 32
+	}
+	if heads <= 0 {
+		heads = 2
+	}
+	return dModel, heads
+}
+
+// validate reports a configuration buildBackbone cannot build: the
+// errors Load returns for a model file where NewModel would panic.
+func (cfg Config) validate() error {
+	if cfg.Hidden <= 0 || cfg.HiddenLayers <= 0 {
+		return fmt.Errorf("ar: hidden width %d and layer count %d must be positive", cfg.Hidden, cfg.HiddenLayers)
+	}
+	switch cfg.Arch {
+	case "", "made":
+	case "transformer":
+		if dModel, heads := cfg.transformerShape(); dModel%heads != 0 {
+			return fmt.Errorf("ar: transformer width %d is not a multiple of its %d heads", dModel, heads)
+		}
+	default:
+		return fmt.Errorf("ar: unknown architecture %q", cfg.Arch)
+	}
+	return nil
 }
 
 // Spec is a query compiled into the model's bin space: one fractional mask

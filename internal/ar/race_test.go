@@ -12,7 +12,8 @@ import (
 
 // TestTrainConcurrentWorkersRace drives the full DPS training loop with
 // several trainStep goroutines sharing the model, the masked-weight caches,
-// and the parallel matmul kernels — the configuration the per-worker pooled
+// and the parallel matmul kernels, over five columns so every chain step
+// computes a degree slice — the configuration the per-worker pooled
 // tapes and the cache's dirty-bit protocol must keep race-free. The test is
 // meaningful under -race; without it it is just a smoke test.
 func TestTrainConcurrentWorkersRace(t *testing.T) {
@@ -21,7 +22,7 @@ func TestTrainConcurrentWorkersRace(t *testing.T) {
 	defer tensor.SetMatMulWorkers(old)
 
 	rng := rand.New(rand.NewSource(29))
-	s := twoColTable(rng, 200)
+	s := multiColTable(rng, 200, 4, 6, 3, 8, 5)
 	l := join.NewLayout(s)
 	queries := workload.GenerateSingleRelation(rng, s.Tables[0], 32, workload.DefaultSingleRelationOptions())
 	wl := &workload.Workload{Queries: engine.Label(s, queries)}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"sam/internal/join"
 	"sam/internal/relation"
@@ -52,6 +53,12 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	if mf.Version != modelFileVersion {
 		return nil, fmt.Errorf("ar: unsupported model version %d", mf.Version)
+	}
+	if err := mf.Config.validate(); err != nil {
+		return nil, err
+	}
+	if !(mf.Population > 0) || math.IsInf(mf.Population, 1) {
+		return nil, fmt.Errorf("ar: population %v must be positive and finite", mf.Population)
 	}
 	shell, err := mf.Schema.EmptySchema()
 	if err != nil {

@@ -2,6 +2,7 @@ package ar
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -116,6 +117,48 @@ func TestLoadRejectsCorruptData(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewBufferString(`{"version": 99}`)); err == nil {
 		t.Fatal("unknown version accepted")
+	}
+}
+
+// TestLoadRejectsBadConfig feeds Load valid-JSON model files whose
+// configuration or population NewModel cannot build from, and expects an
+// error back instead of a panic.
+func TestLoadRejectsBadConfig(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := NewModel(join.NewLayout(twoColTable(rng, 50)), nil, 50, DefaultConfig())
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	probes := []struct {
+		name string
+		edit func(mf map[string]any, cfg map[string]any)
+	}{
+		{"hidden width 0", func(_, cfg map[string]any) { cfg["Hidden"] = 0 }},
+		{"hidden layers -1", func(_, cfg map[string]any) { cfg["HiddenLayers"] = -1 }},
+		{"unknown arch", func(_, cfg map[string]any) { cfg["Arch"] = "rnn" }},
+		{"population 0", func(mf, _ map[string]any) { mf["population"] = 0 }},
+		{"negative population", func(mf, _ map[string]any) { mf["population"] = -5 }},
+		{"transformer heads not dividing width", func(_, cfg map[string]any) {
+			cfg["Arch"], cfg["DModel"], cfg["Heads"] = "transformer", 10, 3
+		}},
+	}
+	for _, p := range probes {
+		var mf map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &mf); err != nil {
+			t.Fatal(err)
+		}
+		p.edit(mf, mf["config"].(map[string]any))
+		file, err := json.Marshal(mf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(file)); err == nil {
+			t.Errorf("%s: Load accepted the file", p.name)
+		}
+	}
+	if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("unedited file: %v", err)
 	}
 }
 

@@ -54,6 +54,17 @@ func DefaultTrainConfig() TrainConfig {
 	}
 }
 
+// withDefaults fills the sampling knobs a zero value leaves unusable.
+func (cfg TrainConfig) withDefaults() TrainConfig {
+	if cfg.Tau <= 0 {
+		cfg.Tau = 1.0
+	}
+	if cfg.ProgressiveSamples <= 0 {
+		cfg.ProgressiveSamples = 1
+	}
+	return cfg
+}
+
 // Train fits a SAM model to the workload's cardinality constraints. The
 // loss is the mean squared log-ratio between predicted and true
 // cardinalities (minimizing log Q-Error), with gradients flowing through
@@ -66,12 +77,7 @@ func Train(layout *join.Layout, wl *workload.Workload, population float64, cfg T
 	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("ar: epochs and batch size must be positive")
 	}
-	if cfg.Tau <= 0 {
-		cfg.Tau = 1.0
-	}
-	if cfg.ProgressiveSamples <= 0 {
-		cfg.ProgressiveSamples = 1
-	}
+	cfg = cfg.withDefaults()
 	span := cfg.Span.Child("train")
 	defer span.End()
 	span.SetAttr("queries", wl.Len())
@@ -82,24 +88,7 @@ func Train(layout *join.Layout, wl *workload.Workload, population float64, cfg T
 	compileSpan := span.Child("compile")
 	m := NewModel(layout, wl.Queries, population, cfg.Model)
 
-	// Precompile the workload.
-	specs := make([]*Spec, 0, wl.Len())
-	targets := make([]float64, 0, wl.Len())
-	dropped := 0
-	for qi := range wl.Queries {
-		cq := &wl.Queries[qi]
-		spec, err := m.Compile(&cq.Query)
-		if err != nil {
-			dropped++
-			continue
-		}
-		card := float64(cq.Card)
-		if card < 1 {
-			card = 1
-		}
-		specs = append(specs, spec)
-		targets = append(targets, math.Log(card/population))
-	}
+	specs, targets, dropped := compileWorkload(m, wl)
 	if dropped > 0 && cfg.Logf != nil {
 		cfg.Logf("ar: dropped %d unsatisfiable queries", dropped)
 	}
@@ -175,21 +164,69 @@ func Train(layout *join.Layout, wl *workload.Workload, population float64, cfg T
 	return m, nil
 }
 
-// chunkScratch holds the per-column working slices one worker reuses across
-// forwardChunk calls, so the steady-state step allocates nothing.
-type chunkScratch struct {
-	masks   []*tensor.Tensor
-	anyDown []bool
-	deltas  []*tensor.Tensor
-	parts   []*tensor.Node
+// compileWorkload compiles every query of wl against m, pairing each
+// satisfiable one with its training target ln(card/population); it also
+// returns how many queries were unsatisfiable in bin space.
+func compileWorkload(m *Model, wl *workload.Workload) (specs []*Spec, targets []float64, dropped int) {
+	specs = make([]*Spec, 0, wl.Len())
+	targets = make([]float64, 0, wl.Len())
+	for qi := range wl.Queries {
+		cq := &wl.Queries[qi]
+		spec, err := m.Compile(&cq.Query)
+		if err != nil {
+			dropped++
+			continue
+		}
+		card := math.Max(float64(cq.Card), 1)
+		specs = append(specs, spec)
+		targets = append(targets, math.Log(card/m.Population))
+	}
+	return specs, targets, dropped
 }
 
-func newChunkScratch(ncols int) chunkScratch {
+// BenchTrainStep builds a model on layout as Train does, compiles wl, and
+// returns one optimizer step — progressive chains, backward, gradient
+// merge and Adam — over the first cfg.BatchSize compiled queries, for
+// micro-benchmarks of the training hot path. The step runs on
+// cfg.Workers workers, one when unset. Repeated calls repeat the step
+// with the same seed on the updated weights.
+func BenchTrainStep(layout *join.Layout, wl *workload.Workload, population float64, cfg TrainConfig) (func(), error) {
+	m := NewModel(layout, wl.Queries, population, cfg.Model)
+	specs, targets, _ := compileWorkload(m, wl)
+	if len(specs) < cfg.BatchSize || cfg.BatchSize <= 0 {
+		return nil, fmt.Errorf("ar: %d trainable queries for a batch of %d", len(specs), cfg.BatchSize)
+	}
+	cfg = cfg.withDefaults()
+	workers := max(cfg.Workers, 1)
+	opt := nn.NewAdam(cfg.LR)
+	opt.ClipMax = cfg.ClipNorm
+	tr := newTrainer(m, specs, targets, cfg, opt, workers)
+	batch := make([]int, cfg.BatchSize)
+	for i := range batch {
+		batch[i] = i
+	}
+	return func() { tr.step(batch, cfg.Seed, false) }, nil
+}
+
+// chunkScratch holds the chain stepper and per-column working slices one
+// worker reuses across forwardChunk calls, so the steady-state step
+// allocates nothing.
+type chunkScratch struct {
+	chain  nn.Chain
+	masks  []*tensor.Tensor
+	deltas []*tensor.Node // δ: 1 on rows whose query downweights column i; nil if none does
+	keeps  []*tensor.Node // 1−δ, set alongside deltas
+	parts  []*tensor.Node // the chain's sampled one-hots, column by column
+}
+
+func newChunkScratch(net nn.Backbone) chunkScratch {
+	ncols := net.NumCols()
 	return chunkScratch{
-		masks:   make([]*tensor.Tensor, ncols),
-		anyDown: make([]bool, ncols),
-		deltas:  make([]*tensor.Tensor, ncols),
-		parts:   make([]*tensor.Node, ncols),
+		chain:  net.NewChain(),
+		masks:  make([]*tensor.Tensor, ncols),
+		deltas: make([]*tensor.Node, ncols),
+		keeps:  make([]*tensor.Node, ncols),
+		parts:  make([]*tensor.Node, ncols),
 	}
 }
 
@@ -225,7 +262,6 @@ type trainer struct {
 func newTrainer(m *Model, specs []*Spec, targets []float64, cfg TrainConfig,
 	opt *nn.Adam, workers int) *trainer {
 	params := m.Net.Params()
-	ncols := m.Layout.NumCols()
 	tr := &trainer{
 		m:       m,
 		specs:   specs,
@@ -243,7 +279,7 @@ func newTrainer(m *Model, specs []*Spec, targets []float64, cfg TrainConfig,
 			tape:    tensor.NewGraph(),
 			rng:     rand.New(rand.NewSource(0)),
 			grads:   make([]*tensor.Tensor, len(params)),
-			scratch: newChunkScratch(ncols),
+			scratch: newChunkScratch(m.Net),
 		}
 	}
 	for pi, p := range params {
@@ -347,11 +383,12 @@ func forwardChunk(m *Model, g *tensor.Graph, sc *chunkScratch, specs []*Spec, ta
 	ncols := m.Layout.NumCols()
 	g.Reset()
 
-	// Per-column mask tensors shared by all progressive samples.
-	masks, anyDown, deltas := sc.masks, sc.anyDown, sc.deltas
+	// Per-column masks and downweight factors shared by all progressive
+	// samples.
+	masks, deltas, keeps := sc.masks, sc.deltas, sc.keeps
 	for i := 0; i < ncols; i++ {
-		anyDown[i] = false
-		deltas[i] = nil
+		deltas[i], keeps[i] = nil, nil
+		anyDown := false
 		bins := m.Disc[i].Bins()
 		mk := g.NewTensor(n, bins)
 		for r, qi := range rows {
@@ -363,19 +400,19 @@ func forwardChunk(m *Model, g *tensor.Graph, sc *chunkScratch, specs []*Spec, ta
 			} else {
 				copy(mk.Row(r), spec.Masks[i])
 			}
-			if spec.Downweight[i] {
-				anyDown[i] = true
-			}
+			anyDown = anyDown || spec.Downweight[i]
 		}
 		masks[i] = mk
-		if anyDown[i] {
-			d := g.NewTensor(n, 1)
+		if anyDown {
+			d, keep := g.NewTensor(n, 1), g.NewTensor(n, 1)
 			for r, qi := range rows {
 				if specs[qi].Downweight[i] {
 					d.Set(r, 0, 1)
+				} else {
+					keep.Set(r, 0, 1)
 				}
 			}
-			deltas[i] = d
+			deltas[i], keeps[i] = g.Const(d), g.Const(keep)
 		}
 	}
 
@@ -421,20 +458,15 @@ func forwardChunk(m *Model, g *tensor.Graph, sc *chunkScratch, specs []*Spec, ta
 
 // progressiveChain runs one differentiable progressive-sampling pass up to
 // column lastNeeded (inclusive) and returns the per-row selectivity
-// estimate (n×1 node). Masks, downweight flags, and delta tensors are read
-// from the scratch filled by forwardChunk.
+// estimate (n×1 node). Column i's logits come from the worker's chain
+// stepper once columns 0…i−1 are sampled; masks and downweight factors are
+// read from the scratch filled by forwardChunk.
 func progressiveChain(m *Model, g *tensor.Graph, sc *chunkScratch,
 	n, lastNeeded int, tau float64, rng *rand.Rand) *tensor.Node {
-	ncols := m.Layout.NumCols()
-	parts := sc.parts
-	for i := 0; i < ncols; i++ {
-		parts[i] = g.Const(g.NewTensor(n, m.Disc[i].Bins()))
-	}
+	sc.chain.Begin(n)
 	var sel *tensor.Node
-	for i := 0; i <= lastNeeded && i < ncols; i++ {
-		x := g.ConcatCols(parts...)
-		out := m.Net.Forward(g, x)
-		logits := g.SliceCols(out, m.Net.Offsets()[i], m.Net.ColSizes()[i])
+	for i := 0; i <= lastNeeded; i++ {
+		logits := sc.chain.Col(g, i, sc.parts)
 		p := g.RangeProb(logits, sc.masks[i])
 		if sel == nil {
 			sel = p
@@ -442,22 +474,13 @@ func progressiveChain(m *Model, g *tensor.Graph, sc *chunkScratch,
 			sel = g.MulElem(sel, p)
 		}
 		y := g.STGumbel(logits, sc.masks[i], tau, rng)
-		parts[i] = y
-		if sc.anyDown[i] {
-			val := g.Dot(y, m.Layout.Cols[i].WeightVals)
-			recip := g.Reciprocal(val)
-			oneMinus := g.NewTensor(n, 1)
-			for r := 0; r < n; r++ {
-				oneMinus.Set(r, 0, 1-sc.deltas[i].At(r, 0))
-			}
-			factor := g.Add(g.MulElem(recip, g.Const(sc.deltas[i])), g.Const(oneMinus))
-			sel = g.MulElem(sel, factor)
+		sc.parts[i] = y
+		if d := sc.deltas[i]; d != nil {
+			// Rows that downweight column i divide by its fanout value;
+			// the others multiply by 1.
+			recip := g.Reciprocal(g.Dot(y, m.Layout.Cols[i].WeightVals))
+			sel = g.MulElem(sel, g.Add(g.MulElem(recip, d), sc.keeps[i]))
 		}
-	}
-	if sel == nil {
-		ones := g.NewTensor(n, 1)
-		ones.Fill(1)
-		sel = g.Const(ones)
 	}
 	return sel
 }

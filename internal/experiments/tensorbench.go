@@ -9,11 +9,13 @@ import (
 
 	"sam/internal/ar"
 	"sam/internal/core"
+	"sam/internal/engine"
 	"sam/internal/join"
 	"sam/internal/nn"
 	"sam/internal/obs"
 	"sam/internal/relation"
 	"sam/internal/tensor"
+	"sam/internal/workload"
 )
 
 // TensorBenchResult records one micro-benchmark of the tensor hot path, with
@@ -52,12 +54,15 @@ type TensorBenchReport struct {
 // forward+backward over colSizes {64,32,16,128,8,4,50}, hidden 64×2;
 // made_forward_infer is the allocation-free sampling forward on the same
 // net; train_step is forward+backward+Adam on colSizes {8,6,4,10}, hidden
-// 32×2, batch 16.
+// 32×2, batch 16. train_step_dps is younger than the seed: its baseline
+// is the full-forward-per-column DPS chain it replaced, measured the same
+// way on the same machine (go1.24, linux/amd64, GOMAXPROCS=1).
 var tensorBenchBaselines = map[string][2]int64{ // name → {ns/op, allocs/op}
 	"matmul_512":            {1539014, 0},
 	"made_forward_autodiff": {2619569, 115},
 	"made_forward_infer":    {9636, 0},
 	"train_step":            {178603, 122},
+	"train_step_dps":        {98472362, 0},
 }
 
 // RunTensorBench benchmarks the tensor hot paths (dense matmul, MADE
@@ -233,6 +238,17 @@ func RunTensorBench() *TensorBenchReport {
 		}
 	})
 
+	add("train_step_dps", func(b *testing.B) {
+		step := benchDPSStep()
+		step() // warm pool + Adam state
+		step() // steady-state slice capacities
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+	})
+
 	// The sampling rows are a same-run comparison, not a seed regression:
 	// the batched entries' baseline is the per-tuple sampler measured
 	// moments ago on the same machine, so their speedup columns are the
@@ -281,6 +297,44 @@ func benchSamplerModel() *ar.Model {
 	layout := join.NewLayout(s)
 	return ar.NewModel(layout, nil, 1000,
 		ar.Config{Hidden: 64, HiddenLayers: 2, Seed: 3, Arch: "made"})
+}
+
+// dpsBenchColSizes is the DMV model the quick-scale pipeline trains: 11
+// columns, a 3,007-unit one-hot input, and one 2,101-bin column.
+var dpsBenchColSizes = []int{2, 75, 5, 63, 59, 9, 270, 122, 76, 225, 2101}
+
+// benchDPSStep returns one DPS trainer step — progressive chains,
+// backward, gradient merge and Adam — on the DMV shape: MADE hidden 40×2,
+// batch 32, one worker, over single-relation queries on a synthetic
+// relation whose columns take exactly dpsBenchColSizes as domains (no
+// intervalization, so the model keeps that shape).
+func benchDPSStep() func() {
+	rng := rand.New(rand.NewSource(11))
+	cols := make([]*relation.Column, len(dpsBenchColSizes))
+	for i, d := range dpsBenchColSizes {
+		cols[i] = relation.NewColumn(fmt.Sprintf("c%d", i), relation.Categorical, d)
+	}
+	for r := 0; r < 2000; r++ {
+		for i, d := range dpsBenchColSizes {
+			cols[i].Append(int32(rng.Intn(d)))
+		}
+	}
+	tbl := relation.NewTable("dmv", cols...)
+	s, err := relation.NewSchema(tbl)
+	if err != nil {
+		panic(err)
+	}
+	queries := workload.GenerateSingleRelation(rng, tbl, 64, workload.DefaultSingleRelationOptions())
+	wl := &workload.Workload{Queries: engine.Label(s, queries)}
+	cfg := ar.DefaultTrainConfig()
+	cfg.Model = ar.Config{Hidden: 40, HiddenLayers: 2, Seed: 3, Arch: "made"}
+	cfg.BatchSize = 32
+	cfg.Workers = 1
+	step, err := ar.BenchTrainStep(join.NewLayout(s), wl, float64(tbl.NumRows()), cfg)
+	if err != nil {
+		panic(err)
+	}
+	return step
 }
 
 // JSON renders the report as indented JSON with a trailing newline.

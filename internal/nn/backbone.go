@@ -20,6 +20,10 @@ type Backbone interface {
 	// Forward runs a batched autodiff pass: batch×InDim in, batch×InDim
 	// logits out.
 	Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node
+	// NewChain allocates the state of one differentiable progressive
+	// sampling chain (DPS training). A worker keeps one and restarts it
+	// with Begin for every chain.
+	NewChain() Chain
 	// ColLogits slices column i's logits out of a full output row.
 	ColLogits(out []float64, i int) []float64
 	// NewInference allocates per-goroutine scratch for the fast
@@ -87,6 +91,22 @@ type BatchInference interface {
 	// matrix — which is all ancestral sampling needs at step i. The result
 	// is owned by the buffer and valid until the next call.
 	ForwardCol(i int) *tensor.Tensor
+}
+
+// Chain is the autodiff stepper behind one progressive-sampling chain:
+// column i's logits are requested once the chain has sampled columns
+// 0…i−1, in order i = 0, 1, 2, …. An implementation may keep per-chain
+// activations between steps, so the whole chain costs one forward (and,
+// on the tape, one backward) pass instead of one per column. Not safe for
+// concurrent use.
+type Chain interface {
+	// Begin starts a new chain of rows rows; node state from the previous
+	// chain is dropped.
+	Begin(rows int)
+	// Col returns column i's logits (rows×ColSizes[i]) on tape g.
+	// parts[c] for c < i holds the sampled (relaxed) one-hots of column c,
+	// rows×ColSizes[c]; entries from i on are not read.
+	Col(g *tensor.Graph, i int, parts []*tensor.Node) *tensor.Node
 }
 
 // NumParams returns the total scalar parameter count of a backbone.

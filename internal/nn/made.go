@@ -20,6 +20,11 @@ type MADE struct {
 	inDim    int   // Σ colSizes
 
 	layers []*MaskedLinear // alternating affine layers; ReLU between
+
+	// degEnd[d] counts the hidden units of degree ≤ d (the same in every
+	// hidden layer). Degrees are sorted, so degree d owns the contiguous
+	// unit range [degEnd[d−1], degEnd[d]).
+	degEnd []int
 }
 
 var _ Backbone = (*MADE)(nil)
@@ -66,6 +71,13 @@ func NewMADE(rng *rand.Rand, colSizes []int, hidden, numHidden int) *MADE {
 	hidDeg := make([]int, hidden)
 	for j := range hidDeg {
 		hidDeg[j] = 1 + j*maxHid/hidden
+	}
+	m.degEnd = make([]int, maxHid+1)
+	for _, d := range hidDeg {
+		m.degEnd[d]++
+	}
+	for d := 1; d <= maxHid; d++ {
+		m.degEnd[d] += m.degEnd[d-1]
 	}
 
 	prevDeg := inDeg
@@ -128,6 +140,88 @@ func (m *MADE) Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node {
 		}
 	}
 	return h
+}
+
+// madeChain steps MADE through a progressive-sampling chain one degree
+// slice at a time. A hidden unit of degree d reads only columns 0…d−1 (or,
+// above the first layer, the units of degree ≤ d below it), and head i
+// reads only the last layer's units of degree ≤ i. So step i computes the
+// degree-i units of every layer — whose inputs were all sampled by steps
+// 0…i−1 and never change later in the chain — and then head i. Each unit
+// is computed once per chain, and each weight block it touches lies wholly
+// inside the mask's support, so slicing Param(W) directly gives the same
+// values and gradients as the masked full forward.
+type madeChain struct {
+	m    *MADE
+	rows int
+	acts [][]*tensor.Node // acts[l][d]: layer l's degree-d units, rows×count
+	in   []*tensor.Node   // operand list scratch for ConcatCols
+}
+
+// NewChain allocates chain state sized for m.
+func (m *MADE) NewChain() Chain {
+	c := &madeChain{m: m, acts: make([][]*tensor.Node, len(m.layers)-1)}
+	for l := range c.acts {
+		c.acts[l] = make([]*tensor.Node, len(m.degEnd))
+	}
+	c.in = make([]*tensor.Node, 0, max(len(m.colSizes), len(m.degEnd)))
+	return c
+}
+
+// Begin starts a chain of rows rows.
+func (c *madeChain) Begin(rows int) {
+	c.rows = rows
+	for _, a := range c.acts {
+		clear(a)
+	}
+}
+
+// Col computes the degree-i units of every hidden layer, then head i.
+func (c *madeChain) Col(g *tensor.Graph, i int, parts []*tensor.Node) *tensor.Node {
+	m := c.m
+	hidden := len(m.layers) - 1
+	if i > 0 && m.degEnd[i] > m.degEnd[i-1] {
+		lo, hi := m.degEnd[i-1], m.degEnd[i]
+		for l, layer := range m.layers[:hidden] {
+			var x *tensor.Node
+			var width int
+			if l == 0 {
+				x, width = c.concat(g, parts[:i]), m.offsets[i]
+			} else {
+				x, width = c.concat(g, c.acts[l-1][1:i+1]), hi
+			}
+			w := g.SliceRows(g.SliceCols(g.Param(layer.W), lo, hi-lo), 0, width)
+			b := g.SliceCols(g.Param(layer.B), lo, hi-lo)
+			c.acts[l][i] = g.ReLU(g.AddRow(g.MatMul(x, w), b))
+		}
+	}
+	out := m.layers[hidden]
+	off, size := m.offsets[i], m.colSizes[i]
+	b := g.SliceCols(g.Param(out.B), off, size)
+	k := m.degEnd[i]
+	if k == 0 {
+		// No hidden unit has degree ≤ i (always so for column 0): the
+		// logits are the output bias alone.
+		return g.AddRow(g.Const(g.NewTensor(c.rows, size)), b)
+	}
+	h := c.concat(g, c.acts[hidden-1][1:i+1])
+	w := g.SliceRows(g.SliceCols(g.Param(out.W), off, size), 0, k)
+	return g.AddRow(g.MatMul(h, w), b)
+}
+
+// concat joins the non-nil nodes side by side (degrees without units
+// leave nil slots); a single node is returned as is.
+func (c *madeChain) concat(g *tensor.Graph, nodes []*tensor.Node) *tensor.Node {
+	c.in = c.in[:0]
+	for _, n := range nodes {
+		if n != nil {
+			c.in = append(c.in, n)
+		}
+	}
+	if len(c.in) == 1 {
+		return c.in[0]
+	}
+	return g.ConcatCols(c.in...)
 }
 
 // Params returns all trainable tensors.

@@ -35,7 +35,7 @@ type Transformer struct {
 	wOut             *tensor.Tensor // dModel × inDim
 	bOut             *tensor.Tensor // 1 × inDim
 
-	causal *tensor.Tensor // numCols × numCols additive mask (0 / −1e30)
+	causal []*tensor.Tensor // causal[L−1]: L×L additive mask (0 / −1e30)
 }
 
 var _ Backbone = (*Transformer)(nil)
@@ -105,11 +105,15 @@ func NewTransformer(rng *rand.Rand, colSizes []int, dModel, heads, ffDim, numLay
 	t.wOut = newT(dModel, t.inDim, std)
 	t.bOut = tensor.New(1, t.inDim)
 
-	t.causal = tensor.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			t.causal.Set(i, j, -1e30)
+	t.causal = make([]*tensor.Tensor, n)
+	for L := 1; L <= n; L++ {
+		c := tensor.New(L, L)
+		for i := 0; i < L; i++ {
+			for j := i + 1; j < L; j++ {
+				c.Set(i, j, -1e30)
+			}
 		}
+		t.causal[L-1] = c
 	}
 	return t
 }
@@ -163,8 +167,7 @@ func (t *Transformer) Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node {
 func (t *Transformer) forwardOne(g *tensor.Graph, x *tensor.Node) *tensor.Node {
 	n := len(t.colSizes)
 	wEmb := g.Param(t.wEmb)
-	// Token sequence: SOS, then embeddings of columns 0..n−2, plus
-	// positional embeddings.
+	// Token sequence: SOS, then embeddings of columns 0..n−2.
 	tokens := make([]*tensor.Node, n)
 	tokens[0] = g.Param(t.sos)
 	for i := 1; i < n; i++ {
@@ -172,13 +175,34 @@ func (t *Transformer) forwardOne(g *tensor.Graph, x *tensor.Node) *tensor.Node {
 		emb := g.MatMul(blk, g.SliceRows(wEmb, t.offsets[i-1], t.colSizes[i-1]))
 		tokens[i] = emb
 	}
-	var seq *tensor.Node
+	hn := t.encode(g, tokens)
+	logits := g.AddRow(g.MatMul(hn, g.Param(t.wOut)), g.Param(t.bOut)) // n × inDim
+
+	// Gather: column i's logits come from token row i.
+	parts := make([]*tensor.Node, n)
+	for i := 0; i < n; i++ {
+		parts[i] = g.SliceCols(g.SliceRows(logits, i, 1), t.offsets[i], t.colSizes[i])
+	}
 	if n == 1 {
-		seq = tokens[0]
-	} else {
+		return parts[0]
+	}
+	return g.ConcatCols(parts...)
+}
+
+// encode runs the positional embeddings, the causal blocks and the final
+// LayerNorm over the first len(tokens) ≤ NumCols positions of one sample
+// (each token 1×dModel) and returns the len(tokens)×dModel hidden states.
+func (t *Transformer) encode(g *tensor.Graph, tokens []*tensor.Node) *tensor.Node {
+	L := len(tokens)
+	seq := tokens[0]
+	if L > 1 {
 		seq = g.ConcatRows(tokens...)
 	}
-	hn := g.Add(seq, g.Param(t.pos))
+	pos := g.Param(t.pos)
+	if L < len(t.colSizes) {
+		pos = g.SliceRows(pos, 0, L)
+	}
+	hn := g.Add(seq, pos)
 
 	scale := 1 / math.Sqrt(float64(t.dk))
 	for _, l := range t.layers {
@@ -192,7 +216,7 @@ func (t *Transformer) forwardOne(g *tensor.Graph, x *tensor.Node) *tensor.Node {
 			qh := g.SliceCols(q, hd*t.dk, t.dk)
 			kh := g.SliceCols(k, hd*t.dk, t.dk)
 			vh := g.SliceCols(v, hd*t.dk, t.dk)
-			scores := g.AddConst(g.Scale(g.MatMulTB(qh, kh), scale), t.causal)
+			scores := g.AddConst(g.Scale(g.MatMulTB(qh, kh), scale), t.causal[L-1])
 			probs := g.SoftmaxRows(scores)
 			headOuts[hd] = g.MatMul(probs, vh)
 		}
@@ -211,16 +235,58 @@ func (t *Transformer) forwardOne(g *tensor.Graph, x *tensor.Node) *tensor.Node {
 		f = g.AddRow(g.MatMul(f, g.Param(l.w2)), g.Param(l.b2))
 		hn = g.Add(hn, f)
 	}
-	hn = g.LayerNorm(hn, g.Param(t.lnFGain), g.Param(t.lnFBias), 1e-5)
-	logits := g.AddRow(g.MatMul(hn, g.Param(t.wOut)), g.Param(t.bOut)) // n × inDim
+	return g.LayerNorm(hn, g.Param(t.lnFGain), g.Param(t.lnFBias), 1e-5)
+}
 
-	// Gather: column i's logits come from token row i.
-	parts := make([]*tensor.Node, n)
-	for i := 0; i < n; i++ {
-		parts[i] = g.SliceCols(g.SliceRows(logits, i, 1), t.offsets[i], t.colSizes[i])
+// transformerChain runs the Transformer's full causal forward on the
+// current prefix: step i encodes the i+1 tokens SOS, column 0, …, column
+// i−1 of every row and reads head i off position i. Causality makes that
+// position's output the same as in a forward over all columns. Only the
+// column embeddings carry over between steps — there is no key/value
+// cache on the tape — so a chain costs about half the token-steps of
+// NumCols full forwards, not one forward as for MADE.
+type transformerChain struct {
+	t    *Transformer
+	rows int
+	emb  []*tensor.Node // emb[c]: rows×dModel embeddings of sampled column c
+	seq  []*tensor.Node // one row's token list
+	last []*tensor.Node // per row: the hidden state at position i
+}
+
+// NewChain allocates chain state sized for t.
+func (t *Transformer) NewChain() Chain {
+	n := len(t.colSizes)
+	return &transformerChain{t: t, emb: make([]*tensor.Node, n), seq: make([]*tensor.Node, 0, n)}
+}
+
+// Begin starts a chain of rows rows.
+func (c *transformerChain) Begin(rows int) {
+	c.rows = rows
+	clear(c.emb)
+	if cap(c.last) < rows {
+		c.last = make([]*tensor.Node, rows)
 	}
-	if n == 1 {
-		return parts[0]
+	c.last = c.last[:rows]
+}
+
+// Col embeds column i−1, encodes every row's prefix, and projects
+// position i onto column i's logits.
+func (c *transformerChain) Col(g *tensor.Graph, i int, parts []*tensor.Node) *tensor.Node {
+	t := c.t
+	if i > 0 {
+		c.emb[i-1] = g.MatMul(parts[i-1], g.SliceRows(g.Param(t.wEmb), t.offsets[i-1], t.colSizes[i-1]))
 	}
-	return g.ConcatCols(parts...)
+	for r := range c.last {
+		c.seq = append(c.seq[:0], g.Param(t.sos))
+		for _, e := range c.emb[:i] {
+			c.seq = append(c.seq, g.SliceRows(e, r, 1))
+		}
+		c.last[r] = g.SliceRows(t.encode(g, c.seq), i, 1)
+	}
+	h := c.last[0]
+	if len(c.last) > 1 {
+		h = g.ConcatRows(c.last...)
+	}
+	off, size := t.offsets[i], t.colSizes[i]
+	return g.AddRow(g.MatMul(h, g.SliceCols(g.Param(t.wOut), off, size)), g.SliceCols(g.Param(t.bOut), off, size))
 }
